@@ -119,17 +119,25 @@ std::vector<Aggregation> DetectAdjacentCommutative(
     int row, AggregationFunction function, double error_level) {
   std::vector<Aggregation> found;
   LineIndex index;
+  DetectAdjacentCommutative(view, active_columns, row, function, error_level,
+                            index, found);
+  return found;
+}
+
+void DetectAdjacentCommutative(const numfmt::AxisView& view,
+                               const std::vector<bool>& active_columns, int row,
+                               AggregationFunction function, double error_level,
+                               LineIndex& index, std::vector<Aggregation>& out) {
   index.Build(view, active_columns, row);
   for (int pos = 0; pos < index.size(); ++pos) {
     if (!index.is_numeric(pos)) continue;  // aggregates must be explicit numbers
     for (int step : {+1, -1}) {
       if (auto aggregation = SearchDirectionIndexed(index, row, pos, step,
                                                     function, error_level)) {
-        found.push_back(std::move(*aggregation));
+        out.push_back(std::move(*aggregation));
       }
     }
   }
-  return found;
 }
 
 std::vector<Aggregation> DetectAdjacentCommutativeNaive(

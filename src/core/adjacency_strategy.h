@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/aggregation.h"
+#include "core/line_index.h"
 #include "numfmt/axis_view.h"
 
 namespace aggrecol::core {
@@ -29,6 +30,15 @@ namespace aggrecol::core {
 std::vector<Aggregation> DetectAdjacentCommutative(
     const numfmt::AxisView& view, const std::vector<bool>& active_columns,
     int row, AggregationFunction function, double error_level);
+
+/// The same scan for a caller that scans many rows: `index` is the caller's
+/// scratch, rebuilt for `row` with its buffers reused, and the row's
+/// aggregations are appended to `out`. The form above is this one with a
+/// fresh index and output.
+void DetectAdjacentCommutative(const numfmt::AxisView& view,
+                               const std::vector<bool>& active_columns, int row,
+                               AggregationFunction function, double error_level,
+                               LineIndex& index, std::vector<Aggregation>& out);
 
 /// The retained reference implementation: the original per-candidate walk
 /// over the raw view, summing with Kahan compensation. Kept for the

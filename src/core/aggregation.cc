@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 
 namespace aggrecol::core {
@@ -48,6 +49,27 @@ std::string ToString(const Pattern& pattern) {
   return oss.str();
 }
 
+bool PatternLess(const Aggregation& a, const Aggregation& b) {
+  if (a.axis != b.axis) return a.axis < b.axis;
+  if (a.aggregate != b.aggregate) return a.aggregate < b.aggregate;
+  if (a.range != b.range) return a.range < b.range;
+  return a.function < b.function;
+}
+
+bool SamePattern(const Aggregation& a, const Aggregation& b) {
+  return a.axis == b.axis && a.aggregate == b.aggregate &&
+         a.function == b.function && a.range == b.range;
+}
+
+std::vector<size_t> OrderByPattern(const std::vector<Aggregation>& aggregations) {
+  std::vector<size_t> order(aggregations.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&aggregations](size_t a, size_t b) {
+    return PatternLess(aggregations[a], aggregations[b]);
+  });
+  return order;
+}
+
 Aggregation Canonicalize(const Aggregation& aggregation) {
   Aggregation out = aggregation;
   if (out.function == AggregationFunction::kDifference && out.range.size() == 2) {
@@ -71,6 +93,25 @@ bool AggregationLess(const Aggregation& a, const Aggregation& b) {
   if (a.aggregate != b.aggregate) return a.aggregate < b.aggregate;
   if (a.function != b.function) return a.function < b.function;
   return a.range < b.range;
+}
+
+std::vector<size_t> OrderByIdentity(const std::vector<Aggregation>& aggregations) {
+  std::vector<size_t> order(aggregations.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&aggregations](size_t a, size_t b) {
+    return AggregationLess(aggregations[a], aggregations[b]);
+  });
+  return order;
+}
+
+bool ContainsIdentity(const std::vector<Aggregation>& aggregations,
+                      const std::vector<size_t>& order, const Aggregation& wanted) {
+  const auto at = std::lower_bound(
+      order.begin(), order.end(), wanted,
+      [&aggregations](size_t i, const Aggregation& value) {
+        return AggregationLess(aggregations[i], value);
+      });
+  return at != order.end() && !AggregationLess(wanted, aggregations[*at]);
 }
 
 std::vector<Aggregation> CanonicalizeAll(const std::vector<Aggregation>& aggregations) {

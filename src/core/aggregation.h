@@ -77,6 +77,21 @@ Pattern PatternOf(const Aggregation& aggregation);
 /// e.g. "sum: 1 <- {2, 3, 4}".
 std::string ToString(const Pattern& pattern);
 
+/// PatternOf(a) < PatternOf(b), without building either pattern: the same
+/// member order (axis, aggregate, range, function) as Pattern's operator<=>.
+bool PatternLess(const Aggregation& a, const Aggregation& b);
+
+/// PatternOf(a) == PatternOf(b), without building either pattern.
+bool SamePattern(const Aggregation& a, const Aggregation& b);
+
+/// The positions of `aggregations` stably sorted by PatternLess. Candidates
+/// sharing a pattern form one contiguous run, the runs come in Pattern order
+/// (the iteration order of a std::map<Pattern, ...>), and each run keeps the
+/// input order. The one grouping primitive of extension and pruning: it
+/// costs one index array instead of a map node and a Pattern copy per
+/// candidate.
+std::vector<size_t> OrderByPattern(const std::vector<Aggregation>& aggregations);
+
 /// Canonicalizes a difference aggregation A = B - C into its sum form
 /// B = A + C (Sec. 4.3.2 merges sum and difference this way for evaluation).
 /// Non-difference aggregations are returned unchanged; commutative ranges are
@@ -88,6 +103,15 @@ Aggregation Canonicalize(const Aggregation& aggregation);
 /// deduplication and set membership for large result sets (the eager
 /// baseline can produce millions of candidates).
 bool AggregationLess(const Aggregation& a, const Aggregation& b);
+
+/// The positions of `aggregations` sorted by AggregationLess: a membership
+/// index over a result set that is neither copied nor reordered.
+std::vector<size_t> OrderByIdentity(const std::vector<Aggregation>& aggregations);
+
+/// True when `aggregations` holds an aggregation equal to `wanted`, by binary
+/// search over `order` = OrderByIdentity(aggregations).
+bool ContainsIdentity(const std::vector<Aggregation>& aggregations,
+                      const std::vector<size_t>& order, const Aggregation& wanted);
 
 /// Canonicalizes and deduplicates a whole result set. The result is sorted
 /// by AggregationLess.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 
 #include "core/line_index.h"
 
@@ -16,15 +17,58 @@ constexpr double kInflate = 1.0 + 32.0 * kEps;
 // One pattern to re-validate across rows, with everything that is
 // row-invariant hoisted out of the row loop.
 struct PatternPlan {
-  const Pattern* pattern = nullptr;
-  const std::vector<int>* covered_rows = nullptr;  // sorted
+  // The pattern's first member; only its pattern fields (axis, aggregate,
+  // range, function) are read.
+  const Aggregation* pattern = nullptr;
+  const int* covered_begin = nullptr;  // sorted lines already covered
+  const int* covered_end = nullptr;
   bool pairwise = false;
   // Ascending range (always true for adjacency-produced commutative
   // patterns); only then can compact-space contiguity make the range a
   // prefix span.
   bool ascending = false;
   std::vector<Aggregation> accepted;  // per-pattern hits, in row order
+
+  bool Covers(int row) const {
+    return std::binary_search(covered_begin, covered_end, row);
+  }
 };
+
+// The reference per-(pattern, row) check of the naive walk, on the raw view:
+// the error level when `row` validates `pattern`, nullopt otherwise.
+// `values` is scratch for the range values.
+std::optional<double> ValidateRow(const numfmt::AxisView& grid,
+                                  const std::vector<bool>& active_columns,
+                                  const Aggregation& pattern, int row,
+                                  double error_level,
+                                  std::vector<double>& values) {
+  if (!grid.IsNumeric(row, pattern.aggregate)) return std::nullopt;
+  values.clear();
+  values.reserve(pattern.range.size());
+  for (int col : pattern.range) {
+    if (!active_columns[col] || !grid.IsRangeUsable(row, col)) {
+      return std::nullopt;
+    }
+    values.push_back(grid.value(row, col));
+  }
+  const auto calculated = Apply(pattern.function, values);
+  if (!calculated.has_value()) return std::nullopt;
+  const double error = ErrorLevel(grid.value(row, pattern.aggregate), *calculated);
+  if (!WithinErrorLevel(error, error_level)) return std::nullopt;
+  return error;
+}
+
+// The aggregation `pattern` validated on `row` with `error`.
+Aggregation Validated(const Aggregation& pattern, int row, double error) {
+  Aggregation aggregation;
+  aggregation.axis = pattern.axis;
+  aggregation.line = row;
+  aggregation.aggregate = pattern.aggregate;
+  aggregation.range = pattern.range;
+  aggregation.function = pattern.function;
+  aggregation.error = error;
+  return aggregation;
+}
 
 // Screens pattern `plan` against `row` of the compacted `index` and, when the
 // exact replay confirms, records the validated aggregation. The screens are
@@ -35,9 +79,8 @@ struct PatternPlan {
 // Apply()+ErrorLevel() arithmetic over the same values in the same order, so
 // the recorded aggregation and error are bit-identical to the naive walk.
 void ExtendRowWithIndex(const numfmt::AxisView& grid, const LineIndex& index,
-                        int row, double error_level, Axis axis,
-                        PatternPlan& plan) {
-  const Pattern& pattern = *plan.pattern;
+                        int row, double error_level, PatternPlan& plan) {
+  const Aggregation& pattern = *plan.pattern;
   const double observed = grid.value(row, pattern.aggregate);
   const double threshold = (error_level + kErrorSlack) *
                            (observed != 0.0 ? std::fabs(observed) : 1.0);
@@ -127,14 +170,7 @@ void ExtendRowWithIndex(const numfmt::AxisView& grid, const LineIndex& index,
   }
   const double error = ErrorLevel(observed, calculated);
   if (!WithinErrorLevel(error, error_level)) return;
-  Aggregation aggregation;
-  aggregation.axis = axis;
-  aggregation.line = row;
-  aggregation.aggregate = pattern.aggregate;
-  aggregation.range = pattern.range;
-  aggregation.function = pattern.function;
-  aggregation.error = error;
-  plan.accepted.push_back(std::move(aggregation));
+  plan.accepted.push_back(Validated(pattern, row, error));
 }
 
 }  // namespace
@@ -152,32 +188,19 @@ std::vector<Aggregation> ExtendAggregationsNaive(
   for (auto& [pattern, rows] : covered) {
     std::sort(rows.begin(), rows.end());
     if (!active_columns[pattern.aggregate]) continue;
+    Aggregation exemplar;
+    exemplar.axis = pattern.axis;
+    exemplar.aggregate = pattern.aggregate;
+    exemplar.range = pattern.range;
+    exemplar.function = pattern.function;
     for (int row = 0; row < grid.rows(); ++row) {
       if (std::binary_search(rows.begin(), rows.end(), row)) continue;
-      if (!grid.IsNumeric(row, pattern.aggregate)) continue;
-      bool usable = true;
+      // A fresh gather buffer per row, as the original walk had: the
+      // extension benchmark times the screened path against this cost.
       std::vector<double> values;
-      values.reserve(pattern.range.size());
-      for (int col : pattern.range) {
-        if (!active_columns[col] || !grid.IsRangeUsable(row, col)) {
-          usable = false;
-          break;
-        }
-        values.push_back(grid.value(row, col));
-      }
-      if (!usable) continue;
-      const auto calculated = Apply(pattern.function, values);
-      if (!calculated.has_value()) continue;
-      const double error = ErrorLevel(grid.value(row, pattern.aggregate), *calculated);
-      if (WithinErrorLevel(error, error_level)) {
-        Aggregation aggregation;
-        aggregation.axis = pattern.axis;
-        aggregation.line = row;
-        aggregation.aggregate = pattern.aggregate;
-        aggregation.range = pattern.range;
-        aggregation.function = pattern.function;
-        aggregation.error = error;
-        out.push_back(std::move(aggregation));
+      if (const auto error = ValidateRow(grid, active_columns, exemplar, row,
+                                         error_level, values)) {
+        out.push_back(Validated(exemplar, row, *error));
       }
     }
   }
@@ -186,23 +209,24 @@ std::vector<Aggregation> ExtendAggregationsNaive(
 
 std::vector<Aggregation> ExtendAggregations(const numfmt::AxisView& grid,
                                             const std::vector<bool>& active_columns,
-                                            const std::vector<Aggregation>& detected,
+                                            std::vector<Aggregation> detected,
                                             double error_level) {
-  // Pattern -> set of rows already covered (identical grouping and ordering
-  // to the naive walk: std::map iteration fixes the emission order).
-  std::map<Pattern, std::vector<int>> covered;
-  for (const auto& aggregation : detected) {
-    covered[PatternOf(aggregation)].push_back(aggregation.line);
-  }
+  // Group by pattern with one stable index sort: runs in Pattern order are
+  // exactly the naive walk's std::map order, which fixes the emission order.
+  // Each run's covered lines are gathered, sorted, into one shared buffer.
+  const std::vector<size_t> order = OrderByPattern(detected);
+  std::vector<int> covered(order.size());
+  for (size_t i = 0; i < order.size(); ++i) covered[i] = detected[order[i]].line;
 
   // Row-invariant pattern filtering: the active mask does not vary by row,
   // so a pattern with an inactive aggregate or any inactive range column can
   // never validate anywhere — the naive walk re-discovers this per row.
   std::vector<PatternPlan> plans;
-  plans.reserve(covered.size());
   size_t range_cells = 0;
-  for (auto& [pattern, rows] : covered) {
-    std::sort(rows.begin(), rows.end());
+  for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    const Aggregation& pattern = detected[order[begin]];
+    end = begin + 1;
+    while (end < order.size() && SamePattern(pattern, detected[order[end]])) ++end;
     if (!active_columns[pattern.aggregate]) continue;
     bool all_active = true;
     for (int col : pattern.range) {
@@ -215,53 +239,62 @@ std::vector<Aggregation> ExtendAggregations(const numfmt::AxisView& grid,
     const FunctionTraits traits = TraitsOf(pattern.function);
     if (pattern.range.empty()) continue;                         // Apply: nullopt
     if (traits.pairwise && pattern.range.size() != 2) continue;  // Apply: nullopt
+    std::sort(covered.begin() + static_cast<std::ptrdiff_t>(begin),
+              covered.begin() + static_cast<std::ptrdiff_t>(end));
     PatternPlan plan;
     plan.pattern = &pattern;
-    plan.covered_rows = &rows;
+    plan.covered_begin = covered.data() + begin;
+    plan.covered_end = covered.data() + end;
     plan.pairwise = traits.pairwise;
     plan.ascending = std::is_sorted(pattern.range.begin(), pattern.range.end());
     plans.push_back(std::move(plan));
     range_cells += pattern.range.size();
   }
 
-  std::vector<Aggregation> out = detected;
-  if (plans.empty()) return out;
-
   // Cost model: the indexed path pays one O(columns) compaction per row
   // (each compacted cell costs roughly 3x a naively gathered one — mask and
   // kind branches plus prefix/drift bookkeeping) and amortizes it over every
-  // pattern, where it saves that pattern's per-row gather vector allocation
-  // and, on miss rows, its whole range walk. Switch to the index only when
-  // the saved work clearly exceeds the compaction; both paths are
-  // differentially bit-identical, so this is purely about cost, never about
-  // results.
+  // pattern, where it saves that pattern's per-row range gather and, on miss
+  // rows, its whole range walk. Switch to the index only when the saved work
+  // clearly exceeds the compaction; both checks are differentially
+  // bit-identical, so this is purely about cost, never about results.
   const bool use_index = range_cells + 16 * plans.size() >=
                          3 * static_cast<size_t>(grid.columns());
-  if (!use_index) {
-    return ExtendAggregationsNaive(grid, active_columns, detected, error_level);
-  }
-
-  LineIndex index;
-  for (int row = 0; row < grid.rows(); ++row) {
-    index.Build(grid, active_columns, row);
-    for (PatternPlan& plan : plans) {
-      if (std::binary_search(plan.covered_rows->begin(),
-                             plan.covered_rows->end(), row)) {
-        continue;
+  if (use_index) {
+    LineIndex index;
+    for (int row = 0; row < grid.rows(); ++row) {
+      index.Build(grid, active_columns, row);
+      for (PatternPlan& plan : plans) {
+        if (plan.Covers(row)) continue;
+        if (!grid.IsNumeric(row, plan.pattern->aggregate)) continue;
+        ExtendRowWithIndex(grid, index, row, error_level, plan);
       }
-      if (!grid.IsNumeric(row, plan.pattern->aggregate)) continue;
-      ExtendRowWithIndex(grid, index, row, error_level, plan.pattern->axis,
-                         plan);
+    }
+  } else {
+    std::vector<double> values;
+    for (PatternPlan& plan : plans) {
+      for (int row = 0; row < grid.rows(); ++row) {
+        if (plan.Covers(row)) continue;
+        if (const auto error = ValidateRow(grid, active_columns, *plan.pattern,
+                                           row, error_level, values)) {
+          plan.accepted.push_back(Validated(*plan.pattern, row, *error));
+        }
+      }
     }
   }
 
-  // Emit in the naive order: patterns in map order, rows ascending within
-  // each pattern.
+  // Emit in the naive order: `detected` first, then patterns in map order
+  // with rows ascending within each pattern. Growing `detected` invalidates
+  // the plans' pattern pointers; only their own hit lists are read below.
+  size_t added = 0;
+  for (const PatternPlan& plan : plans) added += plan.accepted.size();
+  if (added == 0) return detected;
+  detected.reserve(detected.size() + added);
   for (PatternPlan& plan : plans) {
-    out.insert(out.end(), std::make_move_iterator(plan.accepted.begin()),
-               std::make_move_iterator(plan.accepted.end()));
+    detected.insert(detected.end(), std::make_move_iterator(plan.accepted.begin()),
+                    std::make_move_iterator(plan.accepted.end()));
   }
-  return out;
+  return detected;
 }
 
 }  // namespace aggrecol::core

@@ -17,7 +17,9 @@ namespace aggrecol::core {
 /// Validity of a pattern in a row requires a numeric aggregate cell, all
 /// range cells range-usable and active, a defined function value, and an
 /// error level within `error_level`. Returns the union of `detected` and the
-/// newly validated aggregations, without duplicates.
+/// newly validated aggregations, without duplicates: `detected` (taken by
+/// value, so a caller that is done with its candidates moves them in) comes
+/// first and unchanged, the new aggregations follow.
 ///
 /// This implementation compacts each candidate row once into a LineIndex
 /// shared by every pattern, screens commutative patterns whose range is
@@ -26,11 +28,12 @@ namespace aggrecol::core {
 /// window kernel; every possible accept replays the exact reference
 /// arithmetic, so results are bit-identical to ExtendAggregationsNaive
 /// (same aggregations, same order, bit-equal `error`). Pattern sets too
-/// small to amortize the per-row compaction fall through to the naive walk
-/// wholesale — a cost-model switch, never a semantic one.
+/// small to amortize the per-row compaction run the naive per-row check
+/// instead — a cost-model switch, never a semantic one. Patterns are grouped
+/// by OrderByPattern.
 std::vector<Aggregation> ExtendAggregations(const numfmt::AxisView& grid,
                                             const std::vector<bool>& active_columns,
-                                            const std::vector<Aggregation>& detected,
+                                            std::vector<Aggregation> detected,
                                             double error_level);
 
 /// The retained reference implementation: the original per-(pattern, row)

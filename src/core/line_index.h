@@ -35,7 +35,10 @@ namespace aggrecol::core {
 class LineIndex {
  public:
   /// Indexes line `line` of `view`, honoring the `active` column mask.
-  /// Reuses the buffers across calls; callers keep one instance per scan.
+  /// Reuses the buffers across calls, so a caller that indexes many lines
+  /// keeps one instance for all of them: DetectIndividualRowwise owns one per
+  /// scan chunk and passes it into the row scans, and ExtendAggregations one
+  /// per call. The single-row scan overloads build a fresh one.
   void Build(const numfmt::AxisView& view, const std::vector<bool>& active,
              int line);
 

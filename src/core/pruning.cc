@@ -1,7 +1,10 @@
 #include "core/pruning.h"
 
 #include <algorithm>
-#include <map>
+#include <cstddef>
+#include <numeric>
+#include <string>
+#include <tuple>
 
 #include "core/approx.h"
 #include "obs/metrics.h"
@@ -65,16 +68,26 @@ bool CompletelyIncluded(const PatternGroup& inner, const PatternGroup& outer) {
 
 std::vector<PatternGroup> GroupByPattern(const numfmt::AxisView& grid,
                                          const std::vector<Aggregation>& candidates) {
-  std::map<Pattern, PatternGroup> groups;
-  for (const auto& candidate : candidates) {
-    const Pattern pattern = PatternOf(candidate);
-    auto& group = groups[pattern];
-    group.pattern = pattern;
-    group.members.push_back(candidate);
-  }
+  return GroupByPattern(grid, std::vector<Aggregation>(candidates));
+}
+
+std::vector<PatternGroup> GroupByPattern(const numfmt::AxisView& grid,
+                                         std::vector<Aggregation>&& candidates) {
+  const std::vector<size_t> order = OrderByPattern(candidates);
   std::vector<PatternGroup> out;
-  out.reserve(groups.size());
-  for (auto& [pattern, group] : groups) {
+  for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    end = begin + 1;
+    while (end < order.size() &&
+           SamePattern(candidates[order[begin]], candidates[order[end]])) {
+      ++end;
+    }
+    PatternGroup group;
+    group.pattern = PatternOf(candidates[order[begin]]);
+    group.members.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      group.members.push_back(std::move(candidates[order[i]]));
+    }
+    const Pattern& pattern = group.pattern;
     const int numeric_in_column = grid.NumericCountInColumn(pattern.aggregate);
     group.sufficiency = numeric_in_column > 0
                             ? static_cast<double>(group.members.size()) / numeric_in_column
@@ -165,9 +178,10 @@ bool SameAggregateOverlappingRange(const PatternGroup& a, const PatternGroup& b)
 }
 
 std::vector<Aggregation> PruneIndividual(const numfmt::AxisView& grid,
-                                         const std::vector<Aggregation>& candidates,
+                                         std::vector<Aggregation> candidates,
                                          double coverage, const PruningRules& rules) {
-  std::vector<PatternGroup> groups = GroupByPattern(grid, candidates);
+  const size_t input_candidates = candidates.size();
+  std::vector<PatternGroup> groups = GroupByPattern(grid, std::move(candidates));
 
   // Per-rule prune accounting (docs/OBSERVABILITY.md): every drop below is
   // attributed to the rule that caused it. The obs helpers no-op unless a
@@ -177,7 +191,7 @@ std::vector<Aggregation> PruneIndividual(const numfmt::AxisView& grid,
   if (obs_on) {
     obs::Count("prune.runs");
     obs::Count("prune.input.groups", groups.size());
-    obs::Count("prune.input.candidates", candidates.size());
+    obs::Count("prune.input.candidates", input_candidates);
   }
 
   // 1. Coverage threshold on the sufficiency score (rule R1).
@@ -225,44 +239,63 @@ std::vector<Aggregation> PruneIndividual(const numfmt::AxisView& grid,
   // legitimately be the aggregate of two different functions with disjoint
   // ranges (the net-income example of Sec. 3.2), which the collective stage
   // arbitrates.
-  auto dedup_by = [&](auto key_of, const char* rule) {
-    std::map<decltype(key_of(groups.front())), const PatternGroup*> best;
-    for (const auto& group : groups) {
-      auto [it, inserted] = best.try_emplace(key_of(group), &group);
-      if (!inserted &&
-          (ApproxEq(group.sufficiency, it->second->sufficiency)
-               ? ranks_before(group, *it->second)
-               : group.sufficiency > it->second->sufficiency)) {
-        it->second = &group;
+  //
+  // Groups sharing a key are found with a stable index sort by key, so each
+  // key's groups are visited in list order, and the best is picked exactly
+  // as a first-come map of running winners would. Winners move into place.
+  auto dedup_by = [&](auto key_less, const char* rule) {
+    std::vector<size_t> order(groups.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return key_less(groups[a], groups[b]);
+    });
+    std::vector<bool> winner(groups.size(), false);
+    for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+      size_t best = order[begin];
+      for (end = begin + 1; end < order.size() &&
+                            !key_less(groups[order[begin]], groups[order[end]]);
+           ++end) {
+        const PatternGroup& group = groups[order[end]];
+        if (ApproxEq(group.sufficiency, groups[best].sufficiency)
+                ? ranks_before(group, groups[best])
+                : group.sufficiency > groups[best].sufficiency) {
+          best = order[end];
+        }
       }
+      winner[best] = true;
     }
-    std::vector<PatternGroup> kept;
-    kept.reserve(best.size());
-    for (const auto& group : groups) {
-      if (best.at(key_of(group)) == &group) kept.push_back(group);
+    const size_t groups_before = groups.size();
+    size_t dropped_members = 0;
+    size_t kept = 0;
+    for (size_t i = 0; i < groups.size(); ++i) {
+      if (!winner[i]) {
+        dropped_members += groups[i].members.size();
+        continue;
+      }
+      if (kept != i) groups[kept] = std::move(groups[i]);
+      ++kept;
     }
+    groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(kept), groups.end());
     if (obs_on) {
-      obs::Count(std::string(rule) + ".groups", groups.size() - kept.size());
-      obs::Count(std::string(rule) + ".candidates",
-                 MemberCount(groups) - MemberCount(kept));
+      obs::Count(std::string(rule) + ".groups", groups_before - groups.size());
+      obs::Count(std::string(rule) + ".candidates", dropped_members);
     }
-    groups = std::move(kept);
   };
   if (rules.same_aggregate_dedup && !groups.empty()) {
     // Rule R2.
     dedup_by(
-        [](const PatternGroup& group) {
-          return std::pair<AggregationFunction, int>{group.pattern.function,
-                                                     group.pattern.aggregate};
+        [](const PatternGroup& a, const PatternGroup& b) {
+          return std::tie(a.pattern.function, a.pattern.aggregate) <
+                 std::tie(b.pattern.function, b.pattern.aggregate);
         },
         "prune.r2_same_aggregate");
   }
   if (rules.same_range_dedup && !groups.empty()) {
     // Rule R3.
     dedup_by(
-        [](const PatternGroup& group) {
-          return std::pair<AggregationFunction, std::vector<int>>{
-              group.pattern.function, group.pattern.range};
+        [](const PatternGroup& a, const PatternGroup& b) {
+          return std::tie(a.pattern.function, a.pattern.range) <
+                 std::tie(b.pattern.function, b.pattern.range);
         },
         "prune.r3_same_range");
   }
@@ -271,8 +304,9 @@ std::vector<Aggregation> PruneIndividual(const numfmt::AxisView& grid,
   // co-exist with an already-accepted one.
   std::sort(groups.begin(), groups.end(), ranks_before);
 
-  std::vector<const PatternGroup*> accepted;
-  for (const auto& group : groups) {
+  std::vector<PatternGroup*> accepted;
+  size_t accepted_members = 0;
+  for (auto& group : groups) {
     // Rule R4: the first matching heuristic against any accepted group wins,
     // so drops are attributed to exactly one of the three conflict reasons.
     const char* conflict = nullptr;
@@ -291,6 +325,7 @@ std::vector<Aggregation> PruneIndividual(const numfmt::AxisView& grid,
     }
     if (conflict == nullptr) {
       accepted.push_back(&group);
+      accepted_members += group.members.size();
     } else if (obs_on) {
       obs::Count(conflict);
       obs::Count("prune.r4_conflict.groups");
@@ -298,9 +333,12 @@ std::vector<Aggregation> PruneIndividual(const numfmt::AxisView& grid,
     }
   }
 
+  // Every conflict test above has run, so the accepted members can move out.
   std::vector<Aggregation> out;
-  for (const PatternGroup* group : accepted) {
-    out.insert(out.end(), group->members.begin(), group->members.end());
+  out.reserve(accepted_members);
+  for (PatternGroup* group : accepted) {
+    out.insert(out.end(), std::make_move_iterator(group->members.begin()),
+               std::make_move_iterator(group->members.end()));
   }
   if (obs_on) {
     obs::Count("prune.accepted.groups", accepted.size());

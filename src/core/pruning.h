@@ -40,8 +40,15 @@ struct PatternGroup {
 /// Groups `candidates` by pattern and computes sufficiency scores against
 /// `grid` (the denominator counts numeric cells in the aggregate's column),
 /// along with the precomputed predicate state described on PatternGroup.
+/// Groups come in Pattern order and members in input order (OrderByPattern).
+/// This form copies the candidates once and groups the copies.
 std::vector<PatternGroup> GroupByPattern(const numfmt::AxisView& grid,
                                          const std::vector<Aggregation>& candidates);
+
+/// The same grouping, moving each candidate into its group; the stage-1
+/// prune calls this form.
+std::vector<PatternGroup> GroupByPattern(const numfmt::AxisView& grid,
+                                         std::vector<Aggregation>&& candidates);
 
 /// Side of `pattern`'s range relative to its aggregate.
 RangeSide SideOf(const Pattern& pattern);
@@ -94,10 +101,12 @@ struct PruningRules {
 ///  3. rank the survivors (more members first, then smaller mean error) and
 ///     greedily drop lower-ranked groups whose patterns cannot co-exist with
 ///     an accepted one per the three heuristics above.
-/// Returns the aggregations of the accepted groups. `rules` disables
+/// Returns the aggregations of the accepted groups, moved out of
+/// `candidates` (taken by value: a caller that is done with its candidates
+/// moves them in, and none is copied on the way). `rules` disables
 /// individual steps for ablation.
 std::vector<Aggregation> PruneIndividual(const numfmt::AxisView& grid,
-                                         const std::vector<Aggregation>& candidates,
+                                         std::vector<Aggregation> candidates,
                                          double coverage,
                                          const PruningRules& rules = {});
 

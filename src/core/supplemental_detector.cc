@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <set>
 
@@ -38,13 +39,21 @@ std::vector<std::vector<bool>> BuildConfigurations(
     int max_configurations) {
   const std::vector<int> cumulative_cols(cumulative.begin(), cumulative.end());
   const size_t k = cumulative_cols.size();
+  // A subset is a bit mask over the first 64 cumulative columns; a column
+  // past those (only files with pruning rules ablated reach that many) is
+  // removed exactly when the subset is the full set.
+  const size_t addressable = std::min<size_t>(k, 64);
+  const uint64_t full =
+      addressable == 64 ? ~uint64_t{0} : (uint64_t{1} << addressable) - 1;
 
   std::vector<std::vector<bool>> masks;
   auto make_mask = [&](uint64_t subset_bits) {
     std::vector<bool> active(columns, true);
     for (int col : non_cumulative) active[col] = false;
     for (size_t b = 0; b < k; ++b) {
-      if (subset_bits & (uint64_t{1} << b)) active[cumulative_cols[b]] = false;
+      const bool removed =
+          b < 64 ? ((subset_bits >> b) & 1) != 0 : subset_bits == full;
+      if (removed) active[cumulative_cols[b]] = false;
     }
     return active;
   };
@@ -55,12 +64,12 @@ std::vector<std::vector<bool>> BuildConfigurations(
     }
   } else {
     std::set<uint64_t> chosen;
-    const uint64_t full = k >= 64 ? ~uint64_t{0} : (uint64_t{1} << k) - 1;
     chosen.insert(0);
     chosen.insert(full);
     // Subsets by increasing cardinality: singletons, then pairs, ...
     for (size_t cardinality = 1;
-         cardinality < k && chosen.size() < static_cast<size_t>(max_configurations);
+         cardinality < addressable &&
+         chosen.size() < static_cast<size_t>(max_configurations);
          ++cardinality) {
       // Iterate singleton/pair/... subsets via simple index combinations.
       std::vector<size_t> combo(cardinality);
@@ -71,7 +80,7 @@ std::vector<std::vector<bool>> BuildConfigurations(
         chosen.insert(bits);
         // Next combination.
         size_t i = cardinality;
-        while (i > 0 && combo[i - 1] == k - cardinality + (i - 1)) --i;
+        while (i > 0 && combo[i - 1] == addressable - cardinality + (i - 1)) --i;
         if (i == 0) break;
         ++combo[i - 1];
         for (size_t j = i; j < cardinality; ++j) combo[j] = combo[j - 1] + 1;
@@ -162,7 +171,7 @@ std::vector<Aggregation> DetectSupplementalRowwise(
     // Each derived file is independent; run them concurrently when a pool is
     // present, then filter in configuration order so results stay
     // deterministic.
-    const std::vector<std::vector<Aggregation>> per_configuration =
+    std::vector<std::vector<Aggregation>> per_configuration =
         util::ParallelMap(config.pool, configurations.size(), [&](size_t c) {
           return DetectIndividualRowwise(grid, function, individual,
                                          &configurations[c]);
@@ -171,8 +180,8 @@ std::vector<Aggregation> DetectSupplementalRowwise(
     std::vector<Aggregation> fresh;
     std::set<Aggregation, bool (*)(const Aggregation&, const Aggregation&)> fresh_set(
         &AggregationLess);
-    for (const auto& results : per_configuration) {
-      for (const auto& result : results) {
+    for (auto& results : per_configuration) {
+      for (auto& result : results) {
         // Attribution mirrors the original short-circuit order, so every
         // rejected candidate counts under exactly one stage3.dropped.* reason.
         if (known(result)) {
@@ -187,15 +196,16 @@ std::vector<Aggregation> DetectSupplementalRowwise(
           if (obs_on) obs::Count("stage3.dropped.duplicate");
           continue;
         }
-        fresh.push_back(result);
         fresh_set.insert(result);
+        fresh.push_back(std::move(result));
       }
     }
     if (obs_on) obs::Count("stage3.fresh", fresh.size());
 
     if (!fresh.empty()) {
-      supplemental.insert(supplemental.end(), fresh.begin(), fresh.end());
       for (const auto& aggregation : fresh) index_aggregation(aggregation);
+      supplemental.insert(supplemental.end(), std::make_move_iterator(fresh.begin()),
+                          std::make_move_iterator(fresh.end()));
       // Reload the other detectors (line 13): new aggregates may unblock
       // interrupt aggregations of other functions.
       for (AggregationFunction other : config.functions) {
@@ -213,12 +223,18 @@ std::vector<Aggregation> DetectSupplementalRowwise(
   // cumulative total, exposed by removing the intermediate aggregate columns)
   // loses the same-aggregate sufficiency contest; only the surviving *new*
   // aggregations are returned.
-  std::vector<Aggregation> joint = detected;
-  joint.insert(joint.end(), supplemental.begin(), supplemental.end());
+  std::vector<Aggregation> joint;
+  joint.reserve(detected.size() + supplemental.size());
+  joint.insert(joint.end(), detected.begin(), detected.end());
+  joint.insert(joint.end(), std::make_move_iterator(supplemental.begin()),
+               std::make_move_iterator(supplemental.end()));
   std::vector<Aggregation> pruned =
-      PruneIndividual(grid, joint, config.coverage, config.rules);
-  std::erase_if(pruned, [&detected](const Aggregation& aggregation) {
-    return std::find(detected.begin(), detected.end(), aggregation) != detected.end();
+      PruneIndividual(grid, std::move(joint), config.coverage, config.rules);
+  // Drop the already-accepted survivors. A sorted index over `detected`
+  // keeps this O((n + m) log n) on tall files with thousands of detections.
+  const std::vector<size_t> detected_order = OrderByIdentity(detected);
+  std::erase_if(pruned, [&](const Aggregation& aggregation) {
+    return ContainsIdentity(detected, detected_order, aggregation);
   });
   if (obs_on) obs::Count("stage3.returned", pruned.size());
   return pruned;

@@ -1,7 +1,9 @@
 #include "core/window_strategy.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <utility>
 
@@ -27,24 +29,49 @@ std::vector<int> CollectWindow(const numfmt::AxisView& view,
   return window;
 }
 
-// Keep-first suppression of candidates whose canonical forms collide. For
-// difference, A = B - C (aggregate A) and its mirror C = B - A (aggregate C)
-// both canonicalize to the sum B = A + C; the later one in scan order is the
-// mirror and is dropped. Division and relative change are their own canonical
-// forms, so they pass through untouched.
-std::vector<Aggregation> SuppressCanonicalMirrors(std::vector<Aggregation> found) {
-  std::vector<Aggregation> kept;
-  kept.reserve(found.size());
-  std::vector<Aggregation> canonical_seen;
-  for (Aggregation& aggregation : found) {
-    Aggregation canonical = Canonicalize(aggregation);
-    const auto at = std::lower_bound(canonical_seen.begin(), canonical_seen.end(),
-                                     canonical, AggregationLess);
-    if (at != canonical_seen.end() && *at == canonical) continue;
-    canonical_seen.insert(at, std::move(canonical));
-    kept.push_back(std::move(aggregation));
+// Keep-first suppression of candidates whose canonical forms collide, over
+// the row's candidates found[first, end). For difference, A = B - C
+// (aggregate A) and its mirror C = B - A (aggregate C) both canonicalize to
+// the sum B = A + C; the later one in scan order is the mirror and is
+// dropped. Within one row and function two candidates share a canonical
+// form exactly when they share the integer key (B, min(A, C), max(A, C)), so
+// the suppression compares keys and never builds a canonical copy. Division
+// and relative change are their own canonical forms, and a row never emits
+// the same (aggregate, B, C) twice, so for them this is a no-op.
+void SuppressCanonicalMirrors(std::vector<Aggregation>& found, size_t first) {
+  if (found.size() - first < 2 ||
+      found[first].function != AggregationFunction::kDifference) {
+    return;
   }
-  return kept;
+  struct Entry {
+    std::array<int, 3> key;
+    size_t at;  // position in `found`; the tie-break keeps scan order
+    bool operator<(const Entry& other) const {
+      return key != other.key ? key < other.key : at < other.at;
+    }
+  };
+  std::vector<Entry> entries;
+  entries.reserve(found.size() - first);
+  for (size_t at = first; at < found.size(); ++at) {
+    const Aggregation& aggregation = found[at];
+    const int a = aggregation.aggregate;
+    const int c = aggregation.range[1];
+    entries.push_back({{aggregation.range[0], std::min(a, c), std::max(a, c)}, at});
+  }
+  std::sort(entries.begin(), entries.end());
+  std::vector<bool> keep(found.size() - first, false);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i == 0 || entries[i].key != entries[i - 1].key) {
+      keep[entries[i].at - first] = true;
+    }
+  }
+  size_t write = first;
+  for (size_t read = first; read < found.size(); ++read) {
+    if (!keep[read - first]) continue;
+    if (write != read) found[write] = std::move(found[read]);
+    ++write;
+  }
+  found.erase(found.begin() + static_cast<std::ptrdiff_t>(write), found.end());
 }
 
 constexpr double kEps = std::numeric_limits<double>::epsilon();
@@ -246,13 +273,24 @@ std::vector<Aggregation> DetectWindowPairwise(
     int row, AggregationFunction function, double error_level, int window_size) {
   std::vector<Aggregation> found;
   LineIndex index;
+  DetectWindowPairwise(view, active_columns, row, function, error_level,
+                       window_size, index, found);
+  return found;
+}
+
+void DetectWindowPairwise(const numfmt::AxisView& view,
+                          const std::vector<bool>& active_columns, int row,
+                          AggregationFunction function, double error_level,
+                          int window_size, LineIndex& index,
+                          std::vector<Aggregation>& out) {
+  const size_t first = out.size();
   index.Build(view, active_columns, row);
   index.BuildSpanBounds();  // the batch screen's O(1) window min/max
   for (int pos = 0; pos < index.size(); ++pos) {
     if (!index.is_numeric(pos)) continue;
-    TestWindows(index, row, pos, function, error_level, window_size, found);
+    TestWindows(index, row, pos, function, error_level, window_size, out);
   }
-  return SuppressCanonicalMirrors(std::move(found));
+  SuppressCanonicalMirrors(out, first);
 }
 
 std::vector<Aggregation> DetectWindowPairwiseNaive(
@@ -287,7 +325,8 @@ std::vector<Aggregation> DetectWindowPairwiseNaive(
       }
     }
   }
-  return SuppressCanonicalMirrors(std::move(found));
+  SuppressCanonicalMirrors(found, 0);
+  return found;
 }
 
 }  // namespace aggrecol::core

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/aggregation.h"
+#include "core/line_index.h"
 #include "numfmt/axis_view.h"
 
 namespace aggrecol::core {
@@ -30,6 +31,16 @@ namespace aggrecol::core {
 std::vector<Aggregation> DetectWindowPairwise(
     const numfmt::AxisView& view, const std::vector<bool>& active_columns,
     int row, AggregationFunction function, double error_level, int window_size);
+
+/// The same scan for a caller that scans many rows: `index` is the caller's
+/// scratch, rebuilt for `row` with its buffers reused, and the row's
+/// aggregations are appended to `out` (mirror suppression only looks at the
+/// appended ones). The form above is this one with a fresh index and output.
+void DetectWindowPairwise(const numfmt::AxisView& view,
+                          const std::vector<bool>& active_columns, int row,
+                          AggregationFunction function, double error_level,
+                          int window_size, LineIndex& index,
+                          std::vector<Aggregation>& out);
 
 /// The retained reference implementation: per-aggregate window collection on
 /// the raw view. Applies the same mirror suppression.

@@ -1,7 +1,13 @@
 #include "core/aggrecol.h"
 
+#include <cstdint>
+#include <map>
+#include <string>
+
 #include "csv/writer.h"
+#include "datagen/corpus.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "tests/test_support.h"
 
 namespace aggrecol::core {
@@ -10,6 +16,7 @@ namespace {
 using aggrecol::testing::Agg;
 using aggrecol::testing::Contains;
 using aggrecol::testing::ContainsCanonical;
+using aggrecol::testing::Digest;
 using aggrecol::testing::Figure5Grid;
 using aggrecol::testing::MakeGrid;
 
@@ -186,6 +193,72 @@ TEST(AggreCol, ErrorLevelAccessor) {
   config.error_level(AggregationFunction::kDivision) = 0.05;
   EXPECT_DOUBLE_EQ(config.error_level(AggregationFunction::kDivision), 0.05);
   EXPECT_DOUBLE_EQ(config.error_levels[IndexOf(AggregationFunction::kDivision)], 0.05);
+}
+
+TEST(AggreCol, FunnelCountersPinnedOnSmallCorpus) {
+  // Golden candidate funnel: the individual.*, prune.* and stage3.* counter
+  // totals and the final-result digest of a fixed corpus, as the copying
+  // pipeline produced them. Candidates are moved (never copied) from the row
+  // scan through extension and pruning, so a moved-from candidate that
+  // silently vanished, or one counted twice, drifts a total here even when
+  // the final aggregations survive it.
+  if (!obs::CompiledIn()) GTEST_SKIP() << "built with AGGRECOL_OBS=OFF";
+  const auto corpus = datagen::GenerateSmallCorpus(20, 8);
+  std::vector<Aggregation> results;
+  std::map<std::string, uint64_t> actual;
+  {
+    obs::ScopedMetrics scoped;
+    const AggreCol detector;
+    for (const auto& file : corpus) {
+      const auto result = detector.Detect(file.grid);
+      results.insert(results.end(), result.aggregations.begin(),
+                     result.aggregations.end());
+    }
+    for (const auto& [name, value] :
+         obs::Registry::Instance().Snapshot().counters) {
+      if (name.starts_with("individual.") || name.starts_with("prune.") ||
+          name.starts_with("stage3.")) {
+        actual[name] = value;
+      }
+    }
+  }
+  const std::map<std::string, uint64_t> expected = {
+      {"individual.accepted", 9498},
+      {"individual.candidates.adjacency", 15487},
+      {"individual.candidates.extended", 48660},
+      {"individual.candidates.window", 32213},
+      {"individual.rounds", 1446},
+      {"prune.accepted.candidates", 10592},
+      {"prune.accepted.groups", 416},
+      {"prune.input.candidates", 50110},
+      {"prune.input.groups", 34618},
+      {"prune.r1_coverage.candidates", 39054},
+      {"prune.r1_coverage.groups", 34183},
+      {"prune.r2_same_aggregate.candidates", 108},
+      {"prune.r2_same_aggregate.groups", 4},
+      {"prune.r3_same_range.candidates", 0},
+      {"prune.r3_same_range.groups", 0},
+      {"prune.r4_conflict.candidates", 356},
+      {"prune.r4_conflict.complete_inclusion", 15},
+      {"prune.r4_conflict.groups", 15},
+      {"prune.runs", 1286},
+      {"stage3.configurations", 988},
+      {"stage3.dropped.claimed", 482},
+      {"stage3.dropped.duplicate", 724},
+      {"stage3.dropped.known", 6582},
+      {"stage3.fresh", 226},
+      {"stage3.recovered", 35},
+      {"stage3.returned", 35},
+      {"stage3.rounds", 206},
+      {"stage3.runs", 40},
+  };
+  std::string listing;
+  for (const auto& [name, value] : actual) {
+    listing += "      {\"" + name + "\", " + std::to_string(value) + "},\n";
+  }
+  EXPECT_EQ(actual, expected) << "actual totals:\n" << listing;
+  EXPECT_EQ(results.size(), 1259u);
+  EXPECT_EQ(Digest(results), 0x64c1a7efcde973bfULL) << std::hex << Digest(results);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // compiled CLI surface (commands + accepted options, both directions), and
 // docs/OBSERVABILITY.md against the counters an instrumented corpus run
 // actually emits. AGGRECOL_SOURCE_DIR is injected by tests/CMakeLists.txt.
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <regex>
@@ -291,6 +292,26 @@ TEST(PerformanceDocs, ScreeningMatrixNamesEveryStage1Section) {
         << "the screening coverage matrix does not reference bench section "
         << name;
   }
+}
+
+TEST(PerformanceDocs, CandidatePathQuotesTheAllocationBudget) {
+  // The "Candidate path" section quotes the copying pipeline's allocation
+  // count that tests/alloc_budget_test.cc budgets against; a re-measured
+  // budget without a doc update fails here.
+  const std::string doc = ReadDoc("docs/PERFORMANCE.md");
+  const size_t at = doc.find("## Candidate path");
+  ASSERT_NE(at, std::string::npos)
+      << "docs/PERFORMANCE.md lost its candidate path section";
+  const std::string section = doc.substr(at, doc.find("\n## ", at + 1) - at);
+  const std::string test = ReadDoc("tests/alloc_budget_test.cc");
+  std::smatch budget;
+  ASSERT_TRUE(std::regex_search(test, budget,
+                                std::regex("kCopyingPipeline = ([0-9']+);")))
+      << "tests/alloc_budget_test.cc lost kCopyingPipeline";
+  std::string quoted = budget[1].str();
+  std::replace(quoted.begin(), quoted.end(), '\'', ',');
+  EXPECT_NE(section.find(quoted), std::string::npos)
+      << "the candidate path section does not quote the budget " << quoted;
 }
 
 TEST(Docs, CrossReferencedPagesExist) {

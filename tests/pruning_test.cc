@@ -1,6 +1,15 @@
 #include "core/pruning.h"
 
+#include <algorithm>
+#include <map>
+#include <string>
+
+#include "core/adjacency_strategy.h"
+#include "core/extension.h"
+#include "core/window_strategy.h"
+#include "datagen/corpus.h"
 #include "gtest/gtest.h"
+#include "numfmt/axis_view.h"
 #include "tests/test_support.h"
 
 namespace aggrecol::core {
@@ -289,6 +298,106 @@ TEST(PruneIndividual, CompleteInclusionToggle) {
 TEST(PruneIndividual, EmptyInput) {
   const auto grid = MakeNumeric({{"1"}});
   EXPECT_TRUE(PruneIndividual(grid, {}, 0.7).empty());
+}
+
+// The std::map grouping GroupByPattern used before it moved to a stable
+// index sort, kept here as the parity oracle: one map node and one Pattern
+// copy per candidate, members copied into their group in input order, groups
+// emitted in map (Pattern) order.
+std::vector<PatternGroup> GroupByPatternMapOracle(
+    const numfmt::AxisView& grid, const std::vector<Aggregation>& candidates) {
+  std::map<Pattern, PatternGroup> groups;
+  for (const auto& candidate : candidates) {
+    const Pattern pattern = PatternOf(candidate);
+    auto& group = groups[pattern];
+    group.pattern = pattern;
+    group.members.push_back(candidate);
+  }
+  std::vector<PatternGroup> out;
+  for (auto& [pattern, group] : groups) {
+    const int numeric_in_column = grid.NumericCountInColumn(pattern.aggregate);
+    group.sufficiency =
+        numeric_in_column > 0
+            ? static_cast<double>(group.members.size()) / numeric_in_column
+            : 0.0;
+    double total_error = 0.0;
+    for (const auto& member : group.members) total_error += member.error;
+    group.mean_error = total_error / static_cast<double>(group.members.size());
+    group.sorted_range = pattern.range;
+    std::sort(group.sorted_range.begin(), group.sorted_range.end());
+    group.side = SideOf(pattern);
+    if (pattern.function == AggregationFunction::kDivision) {
+      int ratio_like = 0;
+      for (const auto& member : group.members) {
+        const double value = grid.value(member.line, member.aggregate);
+        if (value > -1.0 && value < 1.0 && value != 0.0) ++ratio_like;
+      }
+      group.ratio_fraction = static_cast<double>(ratio_like) /
+                             static_cast<double>(group.members.size());
+    }
+    out.push_back(std::move(group));
+  }
+  return out;
+}
+
+void ExpectSameGroups(const std::vector<PatternGroup>& actual,
+                      const std::vector<PatternGroup>& expected,
+                      const std::string& context) {
+  ASSERT_EQ(actual.size(), expected.size()) << context;
+  for (size_t g = 0; g < actual.size(); ++g) {
+    const PatternGroup& a = actual[g];
+    const PatternGroup& e = expected[g];
+    ASSERT_EQ(a.pattern, e.pattern) << context << " group " << g;
+    ASSERT_EQ(a.members.size(), e.members.size()) << context << " group " << g;
+    for (size_t m = 0; m < a.members.size(); ++m) {
+      EXPECT_EQ(a.members[m], e.members[m]) << context << " group " << g;
+      EXPECT_EQ(a.members[m].error, e.members[m].error) << context;
+    }
+    // Bitwise equality: same members summed in the same order.
+    EXPECT_EQ(a.sufficiency, e.sufficiency) << context << " group " << g;
+    EXPECT_EQ(a.mean_error, e.mean_error) << context << " group " << g;
+    EXPECT_EQ(a.sorted_range, e.sorted_range) << context << " group " << g;
+    EXPECT_EQ(a.side, e.side) << context << " group " << g;
+    EXPECT_EQ(a.ratio_fraction, e.ratio_fraction) << context << " group " << g;
+  }
+}
+
+TEST(GroupByPattern, MatchesMapGroupingOnGeneratedCorpus) {
+  // Both axes x all five functions on the 200-file battery. The candidates
+  // are a full stage-1 scan plus its extension, so groups span many lines
+  // and extension appends members out of line order — member order within a
+  // group must still be input order, as the map grouping kept it.
+  const auto corpus = datagen::GenerateSmallCorpus(200, 0xA66);
+  ASSERT_EQ(corpus.size(), 200u);
+  size_t groups_checked = 0;
+  for (const auto& file : corpus) {
+    const auto grid = numfmt::NumericGrid::FromGrid(file.grid, file.format);
+    const numfmt::AxisView views[] = {numfmt::AxisView::Rows(grid),
+                                      numfmt::AxisView::Columns(grid)};
+    for (const auto& view : views) {
+      const std::vector<bool> mask(static_cast<size_t>(view.columns()), true);
+      for (AggregationFunction function : kAllFunctions) {
+        for (double level : {0.0, 0.05}) {
+          std::vector<Aggregation> candidates;
+          for (int line = 0; line < view.rows(); ++line) {
+            const auto found =
+                TraitsOf(function).commutative
+                    ? DetectAdjacentCommutative(view, mask, line, function, level)
+                    : DetectWindowPairwise(view, mask, line, function, level, 10);
+            candidates.insert(candidates.end(), found.begin(), found.end());
+          }
+          candidates = ExtendAggregations(view, mask, candidates, level);
+          const std::string context =
+              file.name + " axis=" + (view.transposed() ? "col" : "row") +
+              " fn=" + ToString(function) + " level=" + std::to_string(level);
+          const auto expected = GroupByPatternMapOracle(view, candidates);
+          ExpectSameGroups(GroupByPattern(view, candidates), expected, context);
+          groups_checked += expected.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(groups_checked, 1000u);
 }
 
 }  // namespace

@@ -1,8 +1,16 @@
 #include "core/supplemental_detector.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/aggrecol.h"
+#include "core/collective_detector.h"
 #include "core/individual_detector.h"
+#include "datagen/corpus.h"
+#include "datagen/file_generator.h"
 #include "gtest/gtest.h"
+#include "numfmt/axis_view.h"
 #include "tests/test_support.h"
 
 namespace aggrecol::core {
@@ -10,6 +18,7 @@ namespace {
 
 using aggrecol::testing::Agg;
 using aggrecol::testing::Contains;
+using aggrecol::testing::Digest;
 using aggrecol::testing::MakeNumeric;
 
 SupplementalConfig Config() {
@@ -134,6 +143,108 @@ TEST(Supplemental, FullPipelineDetectsInterrupt) {
       Contains(full.aggregations, Agg(1, 0, {2, 3, 4}, AggregationFunction::kSum)));
   EXPECT_FALSE(
       Contains(partial.aggregations, Agg(1, 0, {2, 3, 4}, AggregationFunction::kSum)));
+}
+
+TEST(Supplemental, MoreCumulativeAggregateColumnsThanSubsetBits) {
+  // 65 cumulative aggregate columns: one more than a 64-bit subset mask can
+  // address. The columns past the 64th are removed only in the all-excluded
+  // configuration; subset bits are never shifted past bit 63 (the sanitizer
+  // job runs this test under UBSan).
+  std::vector<std::vector<std::string>> rows(2);
+  for (int col = 0; col < 70; ++col) {
+    rows[0].push_back(std::to_string(col + 1));
+    rows[1].push_back(std::to_string(2 * col + 1));
+  }
+  const auto grid = numfmt::NumericGrid::FromGrid(
+      csv::Grid(rows), numfmt::NumberFormat::kCommaDot);
+  std::vector<Aggregation> detected;
+  for (int col = 0; col < 65; ++col) {
+    detected.push_back(Agg(0, col, {68, 69}, AggregationFunction::kSum));
+  }
+  SupplementalConfig config = Config();
+  config.functions = {AggregationFunction::kSum};
+  for (const auto& aggregation :
+       DetectSupplementalRowwise(grid, config, detected)) {
+    EXPECT_FALSE(Contains(detected, aggregation)) << ToString(aggregation);
+  }
+}
+
+// Stage 3 on `view`, fed with the stage-1 + stage-2 results exactly as
+// AggreCol::Detect feeds it under the default configuration. Returns the
+// supplemental output; `detected_count` receives the size of its input.
+std::vector<Aggregation> RunDefaultStage3(const numfmt::AxisView& view,
+                                          size_t* detected_count) {
+  const AggreColConfig defaults;
+  std::vector<Aggregation> individual;
+  for (AggregationFunction function : defaults.functions) {
+    IndividualConfig config;
+    config.error_level = defaults.error_level(function);
+    config.coverage = defaults.coverage;
+    config.window_size = defaults.window_size;
+    const auto found = DetectIndividualRowwise(view, function, config);
+    individual.insert(individual.end(), found.begin(), found.end());
+  }
+  const auto detected = CollectivePrune(view, individual);
+  *detected_count += detected.size();
+
+  SupplementalConfig config;
+  config.functions = defaults.functions;
+  config.error_levels = defaults.error_levels;
+  config.coverage = defaults.coverage;
+  config.window_size = defaults.window_size;
+  config.max_configurations = defaults.max_configurations;
+  auto returned = DetectSupplementalRowwise(view, config, detected);
+
+  std::vector<Aggregation> sorted = detected;
+  std::sort(sorted.begin(), sorted.end(), AggregationLess);
+  for (const auto& aggregation : returned) {
+    EXPECT_FALSE(std::binary_search(sorted.begin(), sorted.end(), aggregation,
+                                    AggregationLess))
+        << "already detected: " << ToString(aggregation);
+  }
+  return returned;
+}
+
+// The final filter that drops already-detected aggregations from stage 3's
+// pruned joint set used to be one linear search of `detected` per pruned
+// result, O(n*m) on tall files; it is a sorted lookup now. These pins are
+// the linear filter's output.
+TEST(Supplemental, TallFileOutputPinned) {
+  // A 1k-row tall file (the generator's big-file plan, seed 4242): thousands
+  // of detected row-axis aggregations reach the filter and all of them are
+  // filtered out again.
+  datagen::GeneratorProfile profile;
+  profile.p_no_aggregation = 0.0;
+  profile.p_tiny_file = 0.0;
+  profile.p_second_table = 0.0;
+  profile.p_big_file = 1.0;
+  profile.big_file_rows = 1000;
+  const auto file = datagen::GenerateFile(profile, 4242, "tall.csv");
+  const auto grid = numfmt::NumericGrid::FromGrid(file.grid, file.format);
+  size_t detected = 0;
+  EXPECT_TRUE(RunDefaultStage3(numfmt::AxisView::Rows(grid), &detected).empty());
+  EXPECT_EQ(detected, 2871u);
+  // The column axis detects nothing on this file.
+  EXPECT_TRUE(
+      RunDefaultStage3(numfmt::AxisView::Columns(grid), &detected).empty());
+  EXPECT_EQ(detected, 2871u);
+}
+
+TEST(Supplemental, SmallCorpusOutputPinned) {
+  // A corpus where stage 3 does recover aggregations, both axes per file.
+  size_t detected = 0;
+  std::vector<Aggregation> returned;
+  for (const auto& file : datagen::GenerateSmallCorpus(20, 8)) {
+    const auto grid = numfmt::NumericGrid::FromGrid(file.grid, file.format);
+    for (const auto& view :
+         {numfmt::AxisView::Rows(grid), numfmt::AxisView::Columns(grid)}) {
+      const auto found = RunDefaultStage3(view, &detected);
+      returned.insert(returned.end(), found.begin(), found.end());
+    }
+  }
+  EXPECT_EQ(detected, 1224u);
+  EXPECT_EQ(returned.size(), 35u);
+  EXPECT_EQ(Digest(returned), 0xe94148a5a6a77ceeULL) << std::hex << Digest(returned);
 }
 
 }  // namespace

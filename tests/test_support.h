@@ -1,6 +1,8 @@
 #ifndef AGGRECOL_TESTS_TEST_SUPPORT_H_
 #define AGGRECOL_TESTS_TEST_SUPPORT_H_
 
+#include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -62,6 +64,32 @@ inline bool ContainsCanonical(const std::vector<core::Aggregation>& aggregations
     if (core::Canonicalize(aggregation) == canonical_wanted) return true;
   }
   return false;
+}
+
+/// Order-sensitive FNV-1a digest of an aggregation list: every identity
+/// field plus the raw bits of `error`, so two lists digest equal only when
+/// they are elementwise identical with bit-equal error levels. Golden tests
+/// pin this value to catch any change in results, order or error bits.
+inline uint64_t Digest(const std::vector<core::Aggregation>& aggregations) {
+  uint64_t hash = 1469598103934665603ULL;
+  auto mix = [&hash](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xFF;
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const auto& aggregation : aggregations) {
+    mix(static_cast<uint64_t>(aggregation.axis));
+    mix(static_cast<uint64_t>(aggregation.line));
+    mix(static_cast<uint64_t>(aggregation.aggregate));
+    mix(static_cast<uint64_t>(aggregation.function));
+    mix(aggregation.range.size());
+    for (int cell : aggregation.range) mix(static_cast<uint64_t>(cell));
+    uint64_t error_bits = 0;
+    std::memcpy(&error_bits, &aggregation.error, sizeof(error_bits));
+    mix(error_bits);
+  }
+  return hash;
 }
 
 /// The Figure 5 table of the paper: three sum aggregations (one cumulative)
