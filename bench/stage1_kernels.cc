@@ -18,6 +18,9 @@
 //   stage2_collective    — the stage-2 collective conflict walk over
 //                          synthetic candidate sets: sorted-range group
 //                          predicates vs the linear-scan reference.
+//   long_line_adjacency  — sum/average adjacency scans on the column axis
+//                          of a 2.5k-row tall file: lines thousands of cells
+//                          long, where the kernel bisects range sizes.
 //
 // Prints a human-readable table; `--json [PATH]` additionally writes the
 // machine-readable BENCH_stage1.json consumed by bench/check_regression.py
@@ -28,6 +31,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -38,6 +42,7 @@
 #include "core/extension.h"
 #include "core/window_strategy.h"
 #include "csv/grid.h"
+#include "datagen/file_generator.h"
 #include "numfmt/axis_view.h"
 #include "numfmt/numeric_grid.h"
 #include "util/stopwatch.h"
@@ -177,7 +182,6 @@ Comparison BenchWideAdjacency() {
   Comparison comparison;
   comparison.name = "wide_adjacency";
   std::mt19937 rng(0x5747E1);
-  util::Stopwatch stopwatch;
   for (int f = 0; f < kFiles; ++f) {
     csv::Grid raw(kRows, kColumns);
     for (int i = 0; i < kRows; ++i) {
@@ -197,27 +201,31 @@ Comparison BenchWideAdjacency() {
 
     const AggregationFunction commutative[] = {AggregationFunction::kSum,
                                                AggregationFunction::kAverage};
-    stopwatch.Reset();
     size_t naive_found = 0;
-    for (AggregationFunction function : commutative) {
-      for (int line = 0; line < view.rows(); ++line) {
-        naive_found += core::DetectAdjacentCommutativeNaive(view, active, line,
-                                                            function, 0.0)
-                           .size();
+    const double naive_seconds = MinSeconds([&] {
+      naive_found = 0;
+      for (AggregationFunction function : commutative) {
+        for (int line = 0; line < view.rows(); ++line) {
+          naive_found += core::DetectAdjacentCommutativeNaive(view, active, line,
+                                                              function, 0.0)
+                             .size();
+        }
       }
-    }
-    comparison.naive.Record(stopwatch.ElapsedSeconds(), naive_found);
+    });
+    comparison.naive.Record(naive_seconds, naive_found);
 
-    stopwatch.Reset();
     size_t kernel_found = 0;
-    for (AggregationFunction function : commutative) {
-      for (int line = 0; line < view.rows(); ++line) {
-        kernel_found +=
-            core::DetectAdjacentCommutative(view, active, line, function, 0.0)
-                .size();
+    const double kernel_seconds = MinSeconds([&] {
+      kernel_found = 0;
+      for (AggregationFunction function : commutative) {
+        for (int line = 0; line < view.rows(); ++line) {
+          kernel_found +=
+              core::DetectAdjacentCommutative(view, active, line, function, 0.0)
+                  .size();
+        }
       }
-    }
-    comparison.kernel.Record(stopwatch.ElapsedSeconds(), kernel_found);
+    });
+    comparison.kernel.Record(kernel_seconds, kernel_found);
 
     if (naive_found != kernel_found) {
       std::fprintf(stderr,
@@ -471,6 +479,84 @@ Comparison BenchStage2Collective() {
   return comparison;
 }
 
+// Long-line sum/average scans: the column axis of the generator's big-file
+// plan at 2.5k rows (seed 4242, 17 columns) — the tall file of the `mixed`
+// pipeline workload. Each line holds about 2.5k usable cells, so the linear
+// walk over range sizes is quadratic per line; the kernel bisects the sizes
+// and rejects whole blocks through the prefix min/max table. One sample per
+// function, line and variant: the fastest of five naive and 25 kernel scans
+// of that line.
+Comparison BenchLongLineAdjacency() {
+  datagen::GeneratorProfile profile;
+  profile.p_no_aggregation = 0.0;
+  profile.p_tiny_file = 0.0;
+  profile.p_second_table = 0.0;
+  profile.p_big_file = 1.0;
+  profile.big_file_rows = 2500;
+  const auto file = datagen::GenerateFile(profile, 4242, "tall.csv");
+  const auto grid = numfmt::NumericGrid::FromGrid(file.grid, file.format);
+  const numfmt::AxisView view = numfmt::AxisView::Columns(grid);
+  const std::vector<bool> active(static_cast<size_t>(view.columns()), true);
+
+  Comparison comparison;
+  comparison.name = "long_line_adjacency";
+  comparison.files = 1;
+  // A kernel scan of one line takes a few milliseconds, a naive one tens,
+  // and a slow spell of a shared host can last seconds and slow the two
+  // unequally. So every (function, line) keeps its own fastest time, and
+  // each round sweeps all of them with the variants alternating: the
+  // samples of one line are spread over the whole section, and a spell has
+  // to cover all of them to move its minimum. Spells that do still lower
+  // the ratio (docs/PERFORMANCE.md, "The benchmark: bench/stage1_kernels").
+  constexpr int kRounds = 5;
+  constexpr int kKernelScansPerRound = 5;
+  const AggregationFunction functions[] = {AggregationFunction::kSum,
+                                           AggregationFunction::kAverage};
+  const size_t lines = static_cast<size_t>(view.rows());
+  const size_t slots = std::size(functions) * lines;
+  std::vector<double> naive_best(slots, 0.0);
+  std::vector<double> kernel_best(slots, 0.0);
+  std::vector<size_t> naive_found(slots, 0);
+  std::vector<size_t> kernel_found(slots, 0);
+  util::Stopwatch stopwatch;
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t f = 0; f < std::size(functions); ++f) {
+      for (int line = 0; line < view.rows(); ++line) {
+        const size_t slot = f * lines + static_cast<size_t>(line);
+        stopwatch.Reset();
+        naive_found[slot] = core::DetectAdjacentCommutativeNaive(
+                                view, active, line, functions[f], 0.0)
+                                .size();
+        const double naive = stopwatch.ElapsedSeconds();
+        if (round == 0 || naive < naive_best[slot]) naive_best[slot] = naive;
+        for (int sample = 0; sample < kKernelScansPerRound; ++sample) {
+          stopwatch.Reset();
+          kernel_found[slot] = core::DetectAdjacentCommutative(
+                                   view, active, line, functions[f], 0.0)
+                                   .size();
+          const double kernel = stopwatch.ElapsedSeconds();
+          if ((round == 0 && sample == 0) || kernel < kernel_best[slot]) {
+            kernel_best[slot] = kernel;
+          }
+        }
+      }
+    }
+  }
+  for (size_t slot = 0; slot < slots; ++slot) {
+    comparison.naive.Record(naive_best[slot], naive_found[slot]);
+    comparison.kernel.Record(kernel_best[slot], kernel_found[slot]);
+    if (naive_found[slot] != kernel_found[slot]) {
+      std::fprintf(stderr,
+                   "FATAL: candidate mismatch on the tall file (%s, column "
+                   "%zu): naive=%zu kernel=%zu\n",
+                   core::ToString(functions[slot / lines]).c_str(),
+                   slot % lines, naive_found[slot], kernel_found[slot]);
+      std::exit(1);
+    }
+  }
+  return comparison;
+}
+
 void PrintComparison(const Comparison& comparison) {
   std::printf("%s (%d files)\n", comparison.name, comparison.files);
   std::printf("  %-8s %10s %10s %14s %16s\n", "variant", "p50 us", "p95 us",
@@ -538,7 +624,7 @@ int main(int argc, char** argv) {
 
   const std::vector<Comparison> comparisons = {
       BenchColumnAxis(), BenchWideAdjacency(), BenchWindowRatioColumns(),
-      BenchExtensionScreen(), BenchStage2Collective()};
+      BenchExtensionScreen(), BenchStage2Collective(), BenchLongLineAdjacency()};
   for (const auto& comparison : comparisons) PrintComparison(comparison);
   if (!json_path.empty()) WriteJson(json_path, comparisons);
   return 0;

@@ -9,6 +9,13 @@
 
 namespace aggrecol::core {
 
+/// Blocks of at most this many range sizes are screened one size at a time
+/// by DetectAdjacentCommutative; larger blocks are tested whole and bisected.
+/// A line with no more usable cells never builds the prefix min/max table.
+/// A fixed constant, not a tuning option; public so tests can place lines at
+/// the boundary.
+inline constexpr int kAdjacencyLeafSizes = 32;
+
 /// Adjacency-list strategy (Sec. 3.1) for commutative functions (sum,
 /// average): for every numeric aggregate candidate in `row`, grow an
 /// adjacency list of the closest range-usable cells on each side — skipping
@@ -24,9 +31,12 @@ namespace aggrecol::core {
 /// This is the prefix-sum kernel: the row is compacted once into a LineIndex,
 /// each candidate range sum becomes a O(1) prefix subtraction, and only
 /// candidates the conservative rounding bound cannot reject fall back to the
-/// compensated per-element walk. Detection decisions and reported error
-/// levels are bit-identical to DetectAdjacentCommutativeNaive (enforced by
-/// tests/stage1_kernel_test.cc).
+/// compensated per-element walk. On a line longer than kAdjacencyLeafSizes
+/// usable cells, the range sizes of each search are bisected: a block of
+/// sizes whose prefix-sum bounds cannot contain an accept is skipped whole
+/// (docs/PERFORMANCE.md, "Long lines"). Detection decisions and reported
+/// error levels are bit-identical to DetectAdjacentCommutativeNaive (enforced
+/// by tests/stage1_kernel_test.cc).
 std::vector<Aggregation> DetectAdjacentCommutative(
     const numfmt::AxisView& view, const std::vector<bool>& active_columns,
     int row, AggregationFunction function, double error_level);

@@ -82,21 +82,22 @@ double LineIndex::CompensatedSum(int begin, int end, bool reverse) const {
   return accumulator.Total();
 }
 
-void LineIndex::BuildSpanBounds() {
-  // Standard sparse table, flattened level-major with stride size():
-  // span_min_[l * n + i] = min over values_[i, i + 2^l) (clamped to n).
-  // Build is O(n log n) once per line; each SpanMin/SpanMax query is then two
-  // loads and a compare, which is what lets the window batch screen stay
-  // O(1) per window. Buffers are reused across lines, so after the first
-  // (largest) line of a scan no further allocation happens.
-  const size_t n = values_.size();
+void LineIndex::BuildMinMaxTable(const std::vector<double>& source,
+                                 std::vector<double>& mins,
+                                 std::vector<double>& maxs) {
+  // Standard sparse table, flattened level-major with stride n:
+  // mins[l * n + i] = min over source[i, i + 2^l) (clamped to n).
+  // Build is O(n log n) once per line; each query is then two loads and a
+  // compare. Buffers are reused across lines, so after the first (largest)
+  // line of a scan no further allocation happens.
+  const size_t n = source.size();
   if (n == 0) return;
   const int levels = SpanLevel(static_cast<int>(n)) + 1;
-  span_min_.resize(static_cast<size_t>(levels) * n);
-  span_max_.resize(static_cast<size_t>(levels) * n);
+  mins.resize(static_cast<size_t>(levels) * n);
+  maxs.resize(static_cast<size_t>(levels) * n);
   for (size_t i = 0; i < n; ++i) {
-    span_min_[i] = values_[i];
-    span_max_[i] = values_[i];
+    mins[i] = source[i];
+    maxs[i] = source[i];
   }
   for (int level = 1; level < levels; ++level) {
     const size_t row = static_cast<size_t>(level) * n;
@@ -104,10 +105,20 @@ void LineIndex::BuildSpanBounds() {
     const size_t half = size_t{1} << (level - 1);
     for (size_t i = 0; i < n; ++i) {
       const size_t j = i + half < n ? i + half : n - 1;
-      span_min_[row + i] = MinOf(span_min_[prev + i], span_min_[prev + j]);
-      span_max_[row + i] = MaxOf(span_max_[prev + i], span_max_[prev + j]);
+      mins[row + i] = MinOf(mins[prev + i], mins[prev + j]);
+      maxs[row + i] = MaxOf(maxs[prev + i], maxs[prev + j]);
     }
   }
+}
+
+void LineIndex::BuildSpanBounds() {
+  BuildMinMaxTable(values_, span_min_, span_max_);
+}
+
+bool LineIndex::BuildPrefixBounds() {
+  if (!std::isfinite(prefix_.back())) return false;
+  BuildMinMaxTable(prefix_, prefix_min_, prefix_max_);
+  return true;
 }
 
 }  // namespace aggrecol::core

@@ -29,9 +29,10 @@ namespace aggrecol::core {
 /// contiguous [begin, end) span here.
 ///
 /// Build() also records the inverse map (PosOfColumn), which the extension
-/// pass uses to locate a detected pattern's columns in another line, and
-/// BuildSpanBounds() optionally adds an O(1) range-min/max table for the
-/// window batch screens.
+/// pass uses to locate a detected pattern's columns in another line.
+/// BuildSpanBounds() optionally adds an O(1) range-min/max table over the
+/// values for the window batch screens, and BuildPrefixBounds() one over the
+/// prefix sums for the bisected adjacency search on long lines.
 class LineIndex {
  public:
   /// Indexes line `line` of `view`, honoring the `active` column mask.
@@ -75,6 +76,10 @@ class LineIndex {
   /// Never zero for a non-empty span: see the floor note in Build().
   double SumErrorBound(int end) const { return drift_[static_cast<size_t>(end)]; }
 
+  /// Prefix entry `p` (the sum of values over compact positions [0, p)) —
+  /// the exact operand PrefixSum subtracts.
+  double Prefix(int p) const { return prefix_[static_cast<size_t>(p)]; }
+
   /// Compensated (Kahan) sum of values over compact positions [begin, end),
   /// in ascending order, or descending when `reverse` — the exact operation
   /// sequence of the retained naive adjacency walk in each direction, so a
@@ -90,23 +95,34 @@ class LineIndex {
   /// Minimum value over compact positions [begin, end). Requires a prior
   /// BuildSpanBounds() for this line; the span must be non-empty.
   double SpanMin(int begin, int end) const {
-    const int level = SpanLevel(end - begin);
-    const size_t stride = values_.size();
-    return MinOf(span_min_[static_cast<size_t>(level) * stride +
-                           static_cast<size_t>(begin)],
-                 span_min_[static_cast<size_t>(level) * stride +
-                           static_cast<size_t>(end - (1 << level))]);
+    return TableMin(span_min_, values_.size(), begin, end);
   }
 
   /// Maximum value over compact positions [begin, end); same contract as
   /// SpanMin.
   double SpanMax(int begin, int end) const {
-    const int level = SpanLevel(end - begin);
-    const size_t stride = values_.size();
-    return MaxOf(span_max_[static_cast<size_t>(level) * stride +
-                           static_cast<size_t>(begin)],
-                 span_max_[static_cast<size_t>(level) * stride +
-                           static_cast<size_t>(end - (1 << level))]);
+    return TableMax(span_max_, values_.size(), begin, end);
+  }
+
+  /// Builds the O(1) range-min/max table over the size() + 1 prefix entries
+  /// (the same level-major sparse table as BuildSpanBounds). Returns false
+  /// and builds nothing when the last prefix entry is not finite: a running
+  /// sum that met an infinite or NaN value, or overflowed, stays non-finite,
+  /// so a finite last entry means every entry is finite and totally ordered.
+  /// Buffers are reused across calls.
+  bool BuildPrefixBounds();
+
+  /// Minimum of Prefix(p) over p in [begin, end). Requires a prior
+  /// BuildPrefixBounds() that returned true for this line; the range must be
+  /// non-empty.
+  double PrefixMin(int begin, int end) const {
+    return TableMin(prefix_min_, prefix_.size(), begin, end);
+  }
+
+  /// Maximum of Prefix(p) over p in [begin, end); same contract as
+  /// PrefixMin.
+  double PrefixMax(int begin, int end) const {
+    return TableMax(prefix_max_, prefix_.size(), begin, end);
   }
 
  private:
@@ -115,6 +131,30 @@ class LineIndex {
   }
   static double MinOf(double a, double b) { return a < b ? a : b; }
   static double MaxOf(double a, double b) { return a > b ? a : b; }
+
+  // Fills `mins`/`maxs` with the level-major sparse table of `source`
+  // (stride source.size()); shared by BuildSpanBounds and BuildPrefixBounds.
+  static void BuildMinMaxTable(const std::vector<double>& source,
+                               std::vector<double>& mins,
+                               std::vector<double>& maxs);
+
+  // Two-probe queries over a table built by BuildMinMaxTable.
+  static double TableMin(const std::vector<double>& table, size_t stride,
+                         int begin, int end) {
+    const int level = SpanLevel(end - begin);
+    return MinOf(table[static_cast<size_t>(level) * stride +
+                       static_cast<size_t>(begin)],
+                 table[static_cast<size_t>(level) * stride +
+                       static_cast<size_t>(end - (1 << level))]);
+  }
+  static double TableMax(const std::vector<double>& table, size_t stride,
+                         int begin, int end) {
+    const int level = SpanLevel(end - begin);
+    return MaxOf(table[static_cast<size_t>(level) * stride +
+                       static_cast<size_t>(begin)],
+                 table[static_cast<size_t>(level) * stride +
+                       static_cast<size_t>(end - (1 << level))]);
+  }
 
   std::vector<int> cols_;
   std::vector<double> values_;
@@ -125,6 +165,8 @@ class LineIndex {
   std::vector<int> pos_of_col_;     // view column -> compact position (-1)
   std::vector<double> span_min_;    // sparse table, level-major, stride size()
   std::vector<double> span_max_;
+  std::vector<double> prefix_min_;  // same over prefix_, stride size() + 1
+  std::vector<double> prefix_max_;
 };
 
 }  // namespace aggrecol::core

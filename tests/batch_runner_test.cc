@@ -37,16 +37,18 @@ std::vector<AnnotatedFile> SmallCorpus(int count, uint64_t seed) {
 }
 
 // A file expensive enough that it cannot finish within the deadlines used
-// below even with sanitizer slack applied (detection cost grows superlinearly
-// in rows, so 10k rows buys minutes of headroom; the pipeline's cancellation
-// checks fire long before the full run would complete, so tests still end at
-// the deadline, not after a full detection).
+// below even with sanitizer slack applied. Detection cost grows somewhat
+// faster than linearly in rows: at threads=2 in a RelWithDebInfo build on a
+// 4-core VM, 10k rows finish in about 3.8 s, inside the 4 s deadline, and
+// 60k rows need 24-27 s, six times the deadline. The pipeline's
+// cancellation checks fire long before the full run would complete, so tests
+// still end at the deadline, not after a full detection.
 AnnotatedFile HugeFile() {
   datagen::GeneratorProfile profile;
   profile.p_no_aggregation = 0.0;
   profile.p_tiny_file = 0.0;
   profile.p_big_file = 1.0;
-  profile.big_file_rows = 10000;
+  profile.big_file_rows = 60000;
   return datagen::GenerateFile(profile, 4242, "huge.csv");
 }
 
@@ -137,7 +139,7 @@ TEST(BatchRunner, SlowFileTimesOutWithoutStallingTheBatch) {
   // Wide margins on both sides so CPU contention from parallel test runners
   // cannot flip an outcome: small files need tens of milliseconds (a couple
   // of seconds when a loaded single-core box timeshares them against the
-  // huge file), the huge file tens of seconds.
+  // huge file), the huge file well over ten seconds.
   options.file_timeout_seconds = 4.0 * kTimingSlack;
   const auto report = BatchRunner(options).Run(files);
 

@@ -19,6 +19,7 @@
 #include "core/pruning.h"
 #include "core/window_strategy.h"
 #include "datagen/corpus.h"
+#include "datagen/file_generator.h"
 #include "gtest/gtest.h"
 #include "numfmt/axis_view.h"
 #include "tests/test_support.h"
@@ -168,6 +169,259 @@ TEST(Stage1Kernel, PrecisionFallbackMatchesNaiveUnderCancellation) {
       kernel, aggrecol::testing::Agg(0, 0, range, AggregationFunction::kSum)));
 }
 
+// ---------------------------------------------------------------------------
+// Long lines. On a line longer than kAdjacencyLeafSizes usable cells the
+// adjacency kernel bisects the range sizes of every search and skips whole
+// blocks whose prefix-sum bounds cannot hold an accept. Every test here
+// compares it with the naive walk: same candidates, same order, bit-equal
+// error levels, for sum and average in both directions.
+// ---------------------------------------------------------------------------
+
+// `cents` / 100 as a plain decimal literal, e.g. -1205 -> "-12.05".
+std::string Cents(long long cents) {
+  const long long magnitude = cents < 0 ? -cents : cents;
+  std::string fraction = std::to_string(magnitude % 100);
+  if (fraction.size() < 2) fraction = "0" + fraction;
+  return (cents < 0 ? "-" : "") + std::to_string(magnitude / 100) + "." +
+         fraction;
+}
+
+// A line of `n` cells holding random cents in [1, 99999] (in +-[1, 99999]
+// when `mixed_sign`) and three planted aggregates: an average at n/3 over
+// the n/4 cells to its right, a sum at n-1 over the n/2 cells to its left,
+// and a sum at 0 over every other cell of the line.
+std::vector<std::string> PlantedLine(int n, bool mixed_sign, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<long long> cents(static_cast<size_t>(n));
+  for (auto& value : cents) {
+    value = 1 + static_cast<long long>(rng() % 99999);
+    if (mixed_sign && rng() % 2 == 0) value = -value;
+  }
+  auto sum = [&cents](int begin, int end) {
+    long long total = 0;
+    for (int p = begin; p < end; ++p) total += cents[static_cast<size_t>(p)];
+    return total;
+  };
+  const int average_at = n / 3;
+  const int average_length = n / 4;
+  const int average_end = average_at + 1 + average_length;
+  const long long remainder = sum(average_at + 1, average_end) % average_length;
+  cents[static_cast<size_t>(average_end - 1)] -= remainder;  // divisible now
+  cents[static_cast<size_t>(average_at)] =
+      sum(average_at + 1, average_end) / average_length;
+  cents[static_cast<size_t>(n - 1)] = sum(n - 1 - n / 2, n - 1);
+  cents[0] = sum(1, n);
+  std::vector<std::string> line;
+  for (long long value : cents) line.push_back(Cents(value));
+  return line;
+}
+
+std::vector<int> Iota(int begin, int end) {
+  std::vector<int> range;
+  for (int p = begin; p < end; ++p) range.push_back(p);
+  return range;
+}
+
+// Runs both adjacency scans, sum and average, over every line of `view` at
+// each of `levels`, with the given mask (all-active when empty), and returns
+// how many candidates the kernel found.
+size_t ExpectAdjacencyMatchesNaive(
+    const numfmt::AxisView& view, const std::string& name,
+    std::vector<bool> active = {},
+    const std::vector<double>& levels = Fig7Levels()) {
+  if (static_cast<int>(active.size()) != view.columns()) {
+    active.assign(static_cast<size_t>(view.columns()), true);
+  }
+  size_t found = 0;
+  for (double level : levels) {
+    for (AggregationFunction function :
+         {AggregationFunction::kSum, AggregationFunction::kAverage}) {
+      for (int line = 0; line < view.rows(); ++line) {
+        const auto kernel =
+            DetectAdjacentCommutative(view, active, line, function, level);
+        ExpectIdenticalScan(
+            kernel,
+            DetectAdjacentCommutativeNaive(view, active, line, function, level),
+            name + " fn=" + ToString(function) +
+                " level=" + std::to_string(level) +
+                " line=" + std::to_string(line));
+        found += kernel.size();
+      }
+    }
+  }
+  return found;
+}
+
+TEST(LongLine, PlantedPositiveLinesMatchNaive) {
+  // All-positive cells: the prefix sums are monotone, so block bounds are the
+  // prefix entries at the block ends.
+  for (int n : {200, 701}) {
+    const auto grid = MakeNumeric({PlantedLine(n, false, 11u + n),
+                                   PlantedLine(n, false, 12u + n)});
+    EXPECT_GT(ExpectAdjacencyMatchesNaive(grid, "positive n=" + std::to_string(n)),
+              0u);
+    const std::vector<bool> active(static_cast<size_t>(n), true);
+    const auto sums =
+        DetectAdjacentCommutative(grid, active, 0, AggregationFunction::kSum, 0.0);
+    EXPECT_TRUE(aggrecol::testing::Contains(
+        sums, aggrecol::testing::Agg(0, 0, Iota(1, n), AggregationFunction::kSum)));
+    EXPECT_TRUE(aggrecol::testing::Contains(
+        sums, aggrecol::testing::Agg(0, n - 1, Iota(n - 1 - n / 2, n - 1),
+                                     AggregationFunction::kSum)));
+    const auto averages = DetectAdjacentCommutative(
+        grid, active, 0, AggregationFunction::kAverage, 0.0);
+    EXPECT_TRUE(aggrecol::testing::Contains(
+        averages,
+        aggrecol::testing::Agg(0, n / 3, Iota(n / 3 + 1, n / 3 + 1 + n / 4),
+                               AggregationFunction::kAverage)));
+  }
+}
+
+TEST(LongLine, PlantedMixedSignLinesMatchNaive) {
+  // Mixed signs: the prefix sums wander, so the block bounds come from the
+  // min/max table rather than the block ends.
+  for (int n : {150, 600}) {
+    const auto grid = MakeNumeric({PlantedLine(n, true, 21u + n),
+                                   PlantedLine(n, true, 22u + n),
+                                   PlantedLine(n, true, 23u + n)});
+    EXPECT_GT(ExpectAdjacencyMatchesNaive(grid, "mixed n=" + std::to_string(n)),
+              0u);
+  }
+}
+
+TEST(LongLine, AllZeroAndDenormalLinesMatchNaive) {
+  // All-zero: every range sums to exactly zero and the drift bound sits on
+  // its n * DBL_MIN floor. Denormal: the proportional drift term underflows
+  // and every planted sum is exact (denormal addition does not round).
+  const std::vector<std::string> zeros(120, "0");
+  EXPECT_GT(ExpectAdjacencyMatchesNaive(MakeNumeric({zeros}), "zero"), 0u);
+
+  std::mt19937 rng(0xDE40);
+  std::vector<long long> units(90);
+  for (auto& unit : units) unit = 1 + static_cast<long long>(rng() % 40);
+  units[0] = 0;
+  for (size_t p = 1; p < units.size(); ++p) units[0] += units[p];
+  std::vector<std::string> denormals;
+  for (long long unit : units) {
+    denormals.push_back(DecimalLiteral(
+        static_cast<double>(unit) * std::numeric_limits<double>::denorm_min()));
+  }
+  const auto grid = MakeNumeric({denormals});
+  EXPECT_GT(ExpectAdjacencyMatchesNaive(grid, "denormal"), 0u);
+  const auto sums = DetectAdjacentCommutative(
+      grid, std::vector<bool>(units.size(), true), 0, AggregationFunction::kSum,
+      0.0);
+  EXPECT_TRUE(aggrecol::testing::Contains(
+      sums, aggrecol::testing::Agg(0, 0, Iota(1, static_cast<int>(units.size())),
+                                   AggregationFunction::kSum)));
+}
+
+TEST(LongLine, PrecisionFallbackOnLongLineBothDirections) {
+  // The 2^53 + 1 - 2^53 cancellation on 300-cell lines, each with one
+  // aggregate whose only match is the whole rest of its line. The plain
+  // prefix sums lose the +1 (row 0 loses 2 more to ties-to-even), so the
+  // fast sum of the matching range misses the target by 1 or 2 and sits at
+  // the edge of its block: only the drift term of the block bound (the
+  // prefix magnitude mass is ~2^54) keeps that block from being rejected,
+  // and the exact replay then decides. Row 1 keeps the big cells outside the
+  // last block's prefix entries. (The lines stay short because the replay
+  // runs for nearly every candidate.)
+  constexpr int n = 300;
+  std::vector<std::string> front = {std::to_string(n - 3), "9007199254740992",
+                                    "1", "-9007199254740992"};
+  while (static_cast<int>(front.size()) < n) front.push_back("1");
+  std::vector<std::string> back(40, "1");
+  for (const char* cell : {"9007199254740992", "1", "-9007199254740992"}) {
+    back.push_back(cell);
+  }
+  while (static_cast<int>(back.size()) < n - 1) back.push_back("1");
+  back.push_back(std::to_string(n - 3));
+  const auto grid = MakeNumeric({front, back});
+  EXPECT_GT(ExpectAdjacencyMatchesNaive(grid, "cancellation", {}, {0.0, 0.05}),
+            0u);
+  const std::vector<bool> active(n, true);
+  EXPECT_TRUE(aggrecol::testing::Contains(
+      DetectAdjacentCommutative(grid, active, 0, AggregationFunction::kSum, 0.0),
+      aggrecol::testing::Agg(0, 0, Iota(1, n), AggregationFunction::kSum)));
+  EXPECT_TRUE(aggrecol::testing::Contains(
+      DetectAdjacentCommutative(grid, active, 1, AggregationFunction::kSum, 0.0),
+      aggrecol::testing::Agg(1, n - 1, Iota(0, n - 1), AggregationFunction::kSum)));
+}
+
+TEST(LongLine, InactiveAndTextCellsMidLineMatchNaive) {
+  // Masked columns and text cells drop out of the compaction, so compact
+  // block bounds must map back to the right view columns.
+  constexpr int n = 320;
+  auto line = PlantedLine(n, false, 31);
+  auto mixed = PlantedLine(n, true, 32);
+  for (int col = 150; col < n; col += 37) {
+    line[static_cast<size_t>(col)] = "n/a";
+    mixed[static_cast<size_t>(col)] = "";
+  }
+  std::vector<bool> active(n, true);
+  for (int col = 100; col < 140; ++col) active[static_cast<size_t>(col)] = false;
+  for (int col = 5; col < n; col += 7) active[static_cast<size_t>(col)] = false;
+  EXPECT_GT(ExpectAdjacencyMatchesNaive(MakeNumeric({line, mixed}), "masked",
+                                        active),
+            0u);
+}
+
+TEST(LongLine, LeafBoundaryLengthsMatchNaive) {
+  // Lines of exactly leaf, leaf +- 1 and 2 * leaf +- 1 usable cells, padded
+  // with text cells so the raw line is longer than its compaction.
+  constexpr int kLeaf = kAdjacencyLeafSizes;
+  for (int usable : {kLeaf - 1, kLeaf, kLeaf + 1, 2 * kLeaf - 1, 2 * kLeaf,
+                     2 * kLeaf + 1}) {
+    for (bool mixed_sign : {false, true}) {
+      std::vector<std::string> line;
+      for (const auto& cell : PlantedLine(usable, mixed_sign, 40u + usable)) {
+        line.push_back(cell);
+        if (line.size() % 5 == 0) line.push_back("text");
+      }
+      const auto grid = MakeNumeric({line});
+      LineIndex index;
+      index.Build(grid, std::vector<bool>(line.size(), true), 0);
+      ASSERT_EQ(index.size(), usable);
+      EXPECT_GT(ExpectAdjacencyMatchesNaive(
+                    grid, "usable=" + std::to_string(usable) +
+                              (mixed_sign ? " mixed" : " positive")),
+                0u);
+    }
+  }
+}
+
+TEST(LongLine, OverflowingPrefixFallsBackToLinearWalk) {
+  // Cells near DBL_MAX overflow the running prefix to infinity, so the line
+  // builds no prefix table and every search walks its sizes one by one.
+  std::vector<std::string> line;
+  for (int p = 0; p < 80; ++p) {
+    // 1.5e308 spelled out: 309 integer digits.
+    line.push_back(p % 3 == 0 ? "15" + std::string(307, '0') : std::to_string(p));
+  }
+  const auto grid = MakeNumeric({line});
+  LineIndex index;
+  index.Build(grid, std::vector<bool>(line.size(), true), 0);
+  ASSERT_EQ(index.size(), 80);
+  EXPECT_FALSE(index.BuildPrefixBounds());
+  ExpectAdjacencyMatchesNaive(grid, "overflow");
+}
+
+TEST(LongLine, TallFileColumnAxisMatchesNaive) {
+  // The column axis of the 2.5k-row tall file of the `mixed` pipeline
+  // workload: 17 lines of about 2.5k cells.
+  datagen::GeneratorProfile profile;
+  profile.p_no_aggregation = 0.0;
+  profile.p_tiny_file = 0.0;
+  profile.p_second_table = 0.0;
+  profile.p_big_file = 1.0;
+  profile.big_file_rows = 2500;
+  const auto file = datagen::GenerateFile(profile, 4242, "tall.csv");
+  const auto grid = numfmt::NumericGrid::FromGrid(file.grid, file.format);
+  const numfmt::AxisView columns = numfmt::AxisView::Columns(grid);
+  ASSERT_GT(columns.columns(), 2500);
+  EXPECT_GT(ExpectAdjacencyMatchesNaive(columns, "tall", {}, {0.0, 0.01}), 0u);
+}
+
 TEST(AxisView, RowViewMatchesGrid) {
   const auto grid = MakeNumeric({{"1", "x", "3"}, {"", "5", "abc"}});
   const numfmt::AxisView view = numfmt::AxisView::Rows(grid);
@@ -288,6 +542,35 @@ TEST(LineIndex, SpanBoundsSurviveBufferReuseAcrossLines) {
   EXPECT_EQ(index.SpanMin(0, 3), 1.0);
   EXPECT_EQ(index.SpanMax(0, 3), 3.0);
   EXPECT_EQ(index.SpanMax(0, 2), 2.0);
+}
+
+TEST(LineIndex, PrefixBoundsMatchBruteForceAcrossReusedBuffers) {
+  // Long, short, then long again: the table buffers are reused, and the
+  // stride changes with the line length.
+  std::mt19937 rng(0x9F1C);
+  LineIndex index;
+  for (int length : {45, 6, 33}) {
+    std::vector<std::string> row;
+    for (int j = 0; j < length; ++j) {
+      row.push_back(std::to_string(static_cast<int>(rng() % 2000) - 1000) + "." +
+                    std::to_string(rng() % 100));
+    }
+    index.Build(MakeNumeric({row}), std::vector<bool>(row.size(), true), 0);
+    ASSERT_EQ(index.size(), length);
+    ASSERT_TRUE(index.BuildPrefixBounds());
+    for (int begin = 0; begin <= index.size(); ++begin) {
+      double lo = index.Prefix(begin);
+      double hi = index.Prefix(begin);
+      for (int end = begin + 1; end <= index.size() + 1; ++end) {
+        lo = std::min(lo, index.Prefix(end - 1));
+        hi = std::max(hi, index.Prefix(end - 1));
+        EXPECT_EQ(index.PrefixMin(begin, end), lo)
+            << length << ": " << begin << ", " << end;
+        EXPECT_EQ(index.PrefixMax(begin, end), hi)
+            << length << ": " << begin << ", " << end;
+      }
+    }
+  }
 }
 
 TEST(LineIndex, PosOfColumnInvertsCompaction) {

@@ -230,6 +230,31 @@ TEST(Supplemental, TallFileOutputPinned) {
   EXPECT_EQ(detected, 2871u);
 }
 
+TEST(Supplemental, MixedTallFileDetectionPinned) {
+  // The 2.5k-row tall file of the `mixed` pipeline workload (big-file plan,
+  // seed 4242, 17 columns) through the whole detector. Its column-axis lines
+  // are 2.5k cells long, the regime where stage 1 bisects range sizes. The
+  // digests cover every result of every stage, error bits included, as the
+  // linear range-size walk produced them.
+  datagen::GeneratorProfile profile;
+  profile.p_no_aggregation = 0.0;
+  profile.p_tiny_file = 0.0;
+  profile.p_second_table = 0.0;
+  profile.p_big_file = 1.0;
+  profile.big_file_rows = 2500;
+  const auto file = datagen::GenerateFile(profile, 4242, "tall.csv");
+  const DetectionResult result = AggreCol().Detect(file.grid);
+  EXPECT_EQ(result.individual_stage.size(), 7185u);
+  EXPECT_EQ(Digest(result.individual_stage), 0xdfa74111b179e32bULL)
+      << std::hex << Digest(result.individual_stage);
+  EXPECT_EQ(result.collective_stage.size(), 7185u);
+  EXPECT_EQ(Digest(result.collective_stage), 0xdfa74111b179e32bULL)
+      << std::hex << Digest(result.collective_stage);
+  EXPECT_EQ(result.aggregations.size(), 7185u);
+  EXPECT_EQ(Digest(result.aggregations), 0xdfa74111b179e32bULL)
+      << std::hex << Digest(result.aggregations);
+}
+
 TEST(Supplemental, SmallCorpusOutputPinned) {
   // A corpus where stage 3 does recover aggregations, both axes per file.
   size_t detected = 0;

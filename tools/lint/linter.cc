@@ -790,8 +790,12 @@ const std::vector<HotPathEntry>& HotPaths() {
       {"src/csv/scanner.cc",
        {"ScanScalar", "ScanSwar", "ScanSse2", "ScanAvx2", "ScanStructural"}},
       {"src/csv/parser.cc", {"ParseStructural"}},
-      {"src/core/line_index.cc", {"Build", "CompensatedSum", "BuildSpanBounds"}},
-      {"src/core/adjacency_strategy.cc", {"SearchDirectionIndexed"}},
+      {"src/core/line_index.cc",
+       {"Build", "CompensatedSum", "BuildMinMaxTable", "BuildSpanBounds",
+        "BuildPrefixBounds"}},
+      {"src/core/adjacency_strategy.cc",
+       {"SearchDirectionIndexed", "BisectSizes", "BlockCertainMiss",
+        "ScreenSizes"}},
       {"src/core/window_strategy.cc", {"TestWindows", "RejectWholeWindow"}},
       {"src/core/extension.cc", {"ExtendRowWithIndex"}},
       {"src/numfmt/number_format.cc",
