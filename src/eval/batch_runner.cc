@@ -108,7 +108,9 @@ BatchReport BatchRunner::Run(const std::vector<AnnotatedFile>& files) {
     // retiring the oldest before admitting the next. The caller thread only
     // coordinates; detection runs on the pool (file tasks spawn their inner
     // per-function/per-row tasks on the same pool and help execute them
-    // while waiting, so the window also bounds peak memory).
+    // while waiting, so the window also bounds peak memory). Each file task
+    // is its own task group: a file's wait runs only that file's tasks, so a
+    // slow file cannot make its neighbour miss a deadline.
     const size_t window =
         static_cast<size_t>(std::max(1, options_.max_in_flight));
     std::deque<std::pair<size_t, util::Future<BatchFileReport>>> outstanding;

@@ -1,14 +1,17 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace aggrecol::util {
 namespace {
 
 // Worker identity for nested-wait detection: which pool the thread belongs
-// to, and its own deque index within it.
+// to, its own deque index within it, and the group of the task it is
+// running (what a Submit from inside that task joins).
 thread_local ThreadPool* current_pool = nullptr;
 thread_local size_t current_worker = 0;
+thread_local uint64_t current_group = 0;
 
 }  // namespace
 
@@ -33,7 +36,12 @@ ThreadPool::~ThreadPool() {
 
 ThreadPool* ThreadPool::Current() { return current_pool; }
 
-void ThreadPool::Push(std::function<void()> task) {
+uint64_t ThreadPool::GroupForSubmit() {
+  return current_pool == this ? current_group
+                              : next_group_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ThreadPool::Push(uint64_t group, std::function<void()> fn) {
   // A worker pushes onto its own deque (LIFO end); external submitters
   // round-robin across the workers.
   const size_t target =
@@ -42,7 +50,7 @@ void ThreadPool::Push(std::function<void()> task) {
           : next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
   {
     std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-    workers_[target]->queue.push_back(std::move(task));
+    workers_[target]->queue.push_back(Task{group, std::move(fn)});
   }
   {
     std::lock_guard<std::mutex> lock(sleep_mutex_);
@@ -51,33 +59,38 @@ void ThreadPool::Push(std::function<void()> task) {
   wake_cv_.notify_one();
 }
 
-bool ThreadPool::PopFrom(size_t worker, bool steal, std::function<void()>* task) {
+bool ThreadPool::PopFrom(size_t worker, bool steal, uint64_t group, Task* task) {
   std::lock_guard<std::mutex> lock(workers_[worker]->mutex);
   auto& queue = workers_[worker]->queue;
-  if (queue.empty()) return false;
+  const auto matches = [group](const Task& entry) {
+    return group == kAnyGroup || entry.group == group;
+  };
+  auto it = queue.end();
   if (steal) {
-    *task = std::move(queue.front());
-    queue.pop_front();
+    it = std::find_if(queue.begin(), queue.end(), matches);
   } else {
-    *task = std::move(queue.back());
-    queue.pop_back();
+    const auto from_back = std::find_if(queue.rbegin(), queue.rend(), matches);
+    it = from_back == queue.rend() ? queue.end() : std::prev(from_back.base());
   }
+  if (it == queue.end()) return false;
+  *task = std::move(*it);
+  queue.erase(it);
   return true;
 }
 
-bool ThreadPool::RunOneTask() {
+bool ThreadPool::RunOneTask(uint64_t group) {
   const bool is_worker = current_pool == this;
   const size_t self = is_worker ? current_worker : 0;
 
-  std::function<void()> task;
-  bool found = is_worker && PopFrom(self, /*steal=*/false, &task);
+  Task task;
+  bool found = is_worker && PopFrom(self, /*steal=*/false, group, &task);
   if (!found) {
     // Steal FIFO from the other deques, scanning from the next index so the
     // victims rotate instead of piling onto worker 0.
     for (size_t offset = 1; offset <= workers_.size() && !found; ++offset) {
       const size_t victim = (self + offset) % workers_.size();
       if (is_worker && victim == self) continue;
-      found = PopFrom(victim, /*steal=*/true, &task);
+      found = PopFrom(victim, /*steal=*/true, group, &task);
     }
   }
   if (!found) return false;
@@ -86,7 +99,12 @@ bool ThreadPool::RunOneTask() {
     std::lock_guard<std::mutex> lock(sleep_mutex_);
     --pending_;
   }
-  task();
+  // A waiter may run a task of another group (the group of an externally
+  // submitted future it waits on), so restore the outer task's group after.
+  const uint64_t outer_group = current_group;
+  if (is_worker) current_group = task.group;
+  task.fn();
+  current_group = outer_group;
   return true;
 }
 

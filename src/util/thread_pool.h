@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -94,8 +95,10 @@ struct FutureState {
 /// Handle to the result of a ThreadPool::Submit call. Get() blocks until the
 /// task ran and returns its value or rethrows its exception. When Get() (or
 /// Wait()) is called from inside a pool task, the calling worker executes
-/// other queued tasks while waiting, so a task may submit subtasks to its own
-/// pool and wait on them without deadlocking — even on a one-worker pool.
+/// queued tasks of the waited task's own group while waiting (see
+/// ThreadPool), so a task may submit subtasks to its own pool and wait on
+/// them without deadlocking — even on a one-worker pool — while a long task
+/// of another group never runs inside the wait.
 template <typename T>
 class Future {
  public:
@@ -120,6 +123,7 @@ class Future {
   friend class ThreadPool;
   std::shared_ptr<internal::FutureState<T>> state_;
   ThreadPool* pool_ = nullptr;
+  uint64_t group_ = 0;  // the task group of the task behind this future
 };
 
 /// A work-stealing thread pool. Each worker owns a deque: it pushes and pops
@@ -128,6 +132,17 @@ class Future {
 /// distributed round-robin. The pool itself imposes no ordering — callers
 /// that need determinism collect futures and merge results in a fixed order
 /// (see ParallelMap).
+///
+/// Task groups scope the help a waiting worker gives. A task submitted from
+/// outside the pool opens a new group; a task submitted from inside a pool
+/// task joins the submitter's group, so a group is the whole tree of work
+/// one outside submission spawned (in a batch: one file). A worker waiting
+/// in Future::Wait runs only queued tasks of the waited future's group, so
+/// it never picks up another group's long task and misses its own deadline
+/// behind it. This cannot deadlock: the waited task and everything it waits
+/// on belong to that group, and each such task is either queued, where the
+/// waiter runs it itself, or already running on another worker. Idle
+/// workers still run tasks of any group, so load keeps balancing.
 ///
 /// Destruction drains every queued task before joining the workers, so no
 /// submitted future is left forever-pending.
@@ -147,7 +162,8 @@ class ThreadPool {
 
   /// Schedules `fn` and returns a future for its result. Safe to call from
   /// inside a pool task (the subtask goes onto the calling worker's own
-  /// deque).
+  /// deque and joins the calling task's group; from outside the pool, `fn`
+  /// opens a new group).
   template <typename F>
   auto Submit(F&& fn) -> Future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
@@ -155,7 +171,8 @@ class ThreadPool {
                   "Submit a function returning a value (wrap side effects in "
                   "a sentinel return)");
     auto state = std::make_shared<internal::FutureState<R>>();
-    Push([state, fn = std::forward<F>(fn)]() mutable {
+    const uint64_t group = GroupForSubmit();
+    Push(group, [state, fn = std::forward<F>(fn)]() mutable {
       try {
         state->value.emplace(fn());
       } catch (...) {
@@ -170,22 +187,42 @@ class ThreadPool {
     Future<R> future;
     future.state_ = std::move(state);
     future.pool_ = this;
+    future.group_ = group;
     return future;
   }
 
-  /// Runs one queued task on the calling thread if any is available.
-  /// Used by Future::Wait to keep workers productive while they wait on
-  /// subtasks; also callable from external threads to help drain the pool.
-  bool RunOneTask();
+  /// Runs one queued task of any group on the calling thread if one is
+  /// available. Idle workers call it to balance load; external threads may
+  /// call it to help drain the pool.
+  bool RunOneTask() { return RunOneTask(kAnyGroup); }
 
  private:
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::function<void()>> queue;
+  template <typename T>
+  friend class Future;
+
+  static constexpr uint64_t kAnyGroup = 0;
+
+  struct Task {
+    uint64_t group = kAnyGroup;
+    std::function<void()> fn;
   };
 
-  void Push(std::function<void()> task);
-  bool PopFrom(size_t worker, bool steal, std::function<void()>* task);
+  struct Worker {
+    std::mutex mutex;
+    std::deque<Task> queue;
+  };
+
+  /// The calling task's group when called from inside one of this pool's
+  /// tasks; otherwise a fresh group.
+  uint64_t GroupForSubmit();
+  void Push(uint64_t group, std::function<void()> fn);
+  /// Pops the entry nearest the deque's back (`steal` = false) or front
+  /// (`steal` = true) whose group is `group`; kAnyGroup matches every entry.
+  bool PopFrom(size_t worker, bool steal, uint64_t group, Task* task);
+  /// Runs one queued task of `group` (kAnyGroup: of any group): the calling
+  /// worker's own deque first, from the back, then the others from the
+  /// front. Future::Wait passes the waited future's group.
+  bool RunOneTask(uint64_t group);
   void WorkerLoop(size_t index);
 
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -200,21 +237,23 @@ class ThreadPool {
   bool stopping_ = false;
 
   std::atomic<size_t> next_worker_{0};
+  std::atomic<uint64_t> next_group_{kAnyGroup + 1};
 };
 
 template <typename T>
 void Future<T>::Wait() {
   if (pool_ != nullptr && ThreadPool::Current() == pool_) {
-    // Called from a worker of the same pool: execute other tasks instead of
-    // blocking, so nested submission cannot deadlock.
+    // Called from a worker of the same pool: execute queued tasks of the
+    // waited future's group instead of blocking, so nested submission cannot
+    // deadlock and no other group's task can delay this wait.
     for (;;) {
       {
         std::unique_lock<std::mutex> lock(state_->mutex);
         if (state_->ready) return;
       }
-      if (!pool_->RunOneTask()) {
-        // Nothing runnable right now (our dependency is in flight on another
-        // worker, or queues are empty): sleep briefly on the future itself.
+      if (!pool_->RunOneTask(group_)) {
+        // Nothing of the group is queued (our dependency is in flight on
+        // another worker): sleep briefly on the future itself.
         std::unique_lock<std::mutex> lock(state_->mutex);
         state_->ready_cv.wait_for(lock, std::chrono::microseconds(200),
                                   [this] { return state_->ready; });

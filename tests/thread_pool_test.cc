@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -62,6 +65,97 @@ TEST(ThreadPool, NestedWaitDoesNotDeadlockOnSingleWorker) {
     return a.Get() + b.Get();
   });
   EXPECT_EQ(future.Get(), 3);
+}
+
+TEST(ThreadPool, WaiterRunsOnlyItsOwnGroupsTasks) {
+  // A task waiting on its own subtasks must not pick up a task that another
+  // submitter queued, however long that task runs: in a batch, a small
+  // file's wait must not run a huge file's stage job and miss its own
+  // deadline behind it. Every step is ordered by promises, not sleeps.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+
+  // Hold one worker with a foreign task until the end of the test.
+  std::promise<void> holding;
+  auto holder = pool.Submit([&holding, released] {
+    holding.set_value();
+    released.wait();
+    return 0;
+  });
+  holding.get_future().wait();
+
+  std::mutex mutex;
+  std::condition_variable progress;
+  bool parent_done = false;
+  int foreign_started = 0;
+  int foreign_started_before_parent_done = -1;
+
+  // The parent runs on the other worker. It queues its subtask, lets the
+  // outside queue one foreign task on each deque (so one lands behind the
+  // subtask, where a LIFO pop of any task would take it first), then waits.
+  std::promise<void> subtask_queued;
+  std::promise<void> foreign_queued;
+  auto parent = pool.Submit([&, queued = foreign_queued.get_future().share()] {
+    auto subtask = pool.Submit([] { return 1; });
+    subtask_queued.set_value();
+    queued.wait();
+    const int value = subtask.Get() + 1;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      parent_done = true;
+      foreign_started_before_parent_done = foreign_started;
+    }
+    progress.notify_all();
+    return value;
+  });
+  subtask_queued.get_future().wait();
+  std::vector<Future<int>> foreign;
+  for (int i = 0; i < pool.thread_count(); ++i) {
+    foreign.push_back(pool.Submit([&, released] {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        ++foreign_started;
+      }
+      progress.notify_all();
+      released.wait();
+      return 0;
+    }));
+  }
+  foreign_queued.set_value();
+
+  {
+    // The parent either finishes while every foreign task is still held, or
+    // (the fault) its wait runs a foreign task, which then blocks inside it.
+    std::unique_lock<std::mutex> lock(mutex);
+    progress.wait(lock, [&] { return parent_done || foreign_started > 0; });
+    EXPECT_TRUE(parent_done) << "the waiting parent ran a foreign task";
+  }
+  release.set_value();
+  EXPECT_EQ(parent.Get(), 2);
+  EXPECT_EQ(foreign_started_before_parent_done, 0);
+  EXPECT_EQ(holder.Get(), 0);
+  for (auto& future : foreign) EXPECT_EQ(future.Get(), 0);
+}
+
+TEST(ThreadPool, TaskWaitingOnExternalFutureHelpsItsGroupOnSingleWorker) {
+  // A task waits on a future that the outside submitted, so of another
+  // group, while that future's task sits queued behind it on the only
+  // worker. The wait must run the waited future's group, or it deadlocks.
+  ThreadPool pool(1);
+  std::promise<void> started;
+  std::promise<Future<int>> handoff;
+  auto waiter = pool.Submit([&started, external = handoff.get_future().share()] {
+    started.set_value();
+    Future<int> future = external.get();
+    return future.Get() + 1;
+  });
+  started.get_future().wait();  // the worker is busy, so the next task queues
+  handoff.set_value(pool.Submit([&pool] {
+    // Its own subtask joins its group, so the helping waiter runs it too.
+    return pool.Submit([] { return 20; }).Get() + 1;
+  }));
+  EXPECT_EQ(waiter.Get(), 22);
 }
 
 TEST(ThreadPool, CancellationObservedMidRun) {
