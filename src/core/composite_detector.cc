@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "core/approx.h"
+#include "core/pruning.h"
 
 namespace aggrecol::core {
 namespace {
@@ -125,11 +126,8 @@ std::vector<CompositeAggregation> DetectCompositeRowwise(
   };
   std::vector<ScoredGroup> scored;
   for (auto& [pattern, members] : groups) {
-    const int numeric_cells = grid.NumericCountInColumn(pattern.aggregate);
     const double sufficiency =
-        numeric_cells > 0
-            ? static_cast<double>(members.size()) / numeric_cells
-            : 0.0;
+        Sufficiency(members.size(), grid.NumericCountInColumn(pattern.aggregate));
     if (sufficiency >= config.coverage) {
       scored.push_back({pattern, std::move(members), sufficiency});
     }

@@ -10,6 +10,8 @@
 
 namespace aggrecol::core {
 
+class PatternLedger;
+
 /// Parameters of one individual detector run (Alg. 1 inputs).
 struct IndividualConfig {
   /// Maximum tolerable error level e for this function.
@@ -33,6 +35,12 @@ struct IndividualConfig {
   /// Cooperative cancellation: checked between rows and between iterations;
   /// a tripped token aborts the run with util::CancelledError.
   util::CancellationToken cancel;
+
+  /// Pattern validations shared with other runs over the same grid at the
+  /// same error level (the supplemental stage shares one per function
+  /// across its derived files); nullptr = a ledger local to this run.
+  /// Non-owning; see PatternLedger.
+  PatternLedger* ledger = nullptr;
 };
 
 /// Individual aggregation detection (Alg. 1), line-wise on `grid` (a
@@ -40,7 +48,9 @@ struct IndividualConfig {
 /// AxisView::Columns() for column-wise detection without a transposed copy):
 /// repeatedly (a) detects adjacent aggregations per row using the strategy
 /// matching the function's properties, (b) extends them across rows,
-/// (c) prunes spurious pattern groups, and, for cumulative functions,
+/// (c) prunes spurious pattern groups — a group that rule R1 would drop is
+/// dropped before its extension rows are built, and counted as R1's — and,
+/// for cumulative functions,
 /// (d) logically removes the detected range columns and iterates so that
 /// cumulative aggregations (Fig. 3b) surface in later rounds.
 ///

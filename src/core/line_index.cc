@@ -111,10 +111,6 @@ void LineIndex::BuildMinMaxTable(const std::vector<double>& source,
   }
 }
 
-void LineIndex::BuildSpanBounds() {
-  BuildMinMaxTable(values_, span_min_, span_max_);
-}
-
 bool LineIndex::BuildPrefixBounds() {
   if (!std::isfinite(prefix_.back())) return false;
   BuildMinMaxTable(prefix_, prefix_min_, prefix_max_);

@@ -30,8 +30,7 @@ namespace aggrecol::core {
 ///
 /// Build() also records the inverse map (PosOfColumn), which the extension
 /// pass uses to locate a detected pattern's columns in another line.
-/// BuildSpanBounds() optionally adds an O(1) range-min/max table over the
-/// values for the window batch screens, and BuildPrefixBounds() one over the
+/// BuildPrefixBounds() optionally adds an O(1) range-min/max table over the
 /// prefix sums for the bisected adjacency search on long lines.
 class LineIndex {
  public:
@@ -86,26 +85,8 @@ class LineIndex {
   /// fallback through this path is bit-identical to the reference scan.
   double CompensatedSum(int begin, int end, bool reverse) const;
 
-  /// Builds the O(1) span-min/max table (sparse table over the compacted
-  /// values). Call once after Build() when SpanMin/SpanMax are needed — the
-  /// window batch screens do; the adjacency scan does not and skips the
-  /// O(n log n) build. Buffers are reused across calls.
-  void BuildSpanBounds();
-
-  /// Minimum value over compact positions [begin, end). Requires a prior
-  /// BuildSpanBounds() for this line; the span must be non-empty.
-  double SpanMin(int begin, int end) const {
-    return TableMin(span_min_, values_.size(), begin, end);
-  }
-
-  /// Maximum value over compact positions [begin, end); same contract as
-  /// SpanMin.
-  double SpanMax(int begin, int end) const {
-    return TableMax(span_max_, values_.size(), begin, end);
-  }
-
-  /// Builds the O(1) range-min/max table over the size() + 1 prefix entries
-  /// (the same level-major sparse table as BuildSpanBounds). Returns false
+  /// Builds the O(1) range-min/max table (a level-major sparse table) over
+  /// the size() + 1 prefix entries. Returns false
   /// and builds nothing when the last prefix entry is not finite: a running
   /// sum that met an infinite or NaN value, or overflowed, stays non-finite,
   /// so a finite last entry means every entry is finite and totally ordered.
@@ -133,7 +114,7 @@ class LineIndex {
   static double MaxOf(double a, double b) { return a > b ? a : b; }
 
   // Fills `mins`/`maxs` with the level-major sparse table of `source`
-  // (stride source.size()); shared by BuildSpanBounds and BuildPrefixBounds.
+  // (stride source.size()), for BuildPrefixBounds.
   static void BuildMinMaxTable(const std::vector<double>& source,
                                std::vector<double>& mins,
                                std::vector<double>& maxs);
@@ -163,9 +144,8 @@ class LineIndex {
   std::vector<double> prefix_abs_;  // same over |values_|
   std::vector<double> drift_;       // SumErrorBound(p), precomputed
   std::vector<int> pos_of_col_;     // view column -> compact position (-1)
-  std::vector<double> span_min_;    // sparse table, level-major, stride size()
-  std::vector<double> span_max_;
-  std::vector<double> prefix_min_;  // same over prefix_, stride size() + 1
+  std::vector<double> prefix_min_;  // sparse table over prefix_, level-major,
+                                    // stride size() + 1
   std::vector<double> prefix_max_;
 };
 

@@ -88,10 +88,8 @@ std::vector<PatternGroup> GroupByPattern(const numfmt::AxisView& grid,
       group.members.push_back(std::move(candidates[order[i]]));
     }
     const Pattern& pattern = group.pattern;
-    const int numeric_in_column = grid.NumericCountInColumn(pattern.aggregate);
-    group.sufficiency = numeric_in_column > 0
-                            ? static_cast<double>(group.members.size()) / numeric_in_column
-                            : 0.0;
+    group.sufficiency = Sufficiency(group.members.size(),
+                                    grid.NumericCountInColumn(pattern.aggregate));
     double total_error = 0.0;
     for (const auto& member : group.members) total_error += member.error;
     group.mean_error = total_error / static_cast<double>(group.members.size());
@@ -179,7 +177,8 @@ bool SameAggregateOverlappingRange(const PatternGroup& a, const PatternGroup& b)
 
 std::vector<Aggregation> PruneIndividual(const numfmt::AxisView& grid,
                                          std::vector<Aggregation> candidates,
-                                         double coverage, const PruningRules& rules) {
+                                         double coverage, const PruningRules& rules,
+                                         const PrunedUpstream& upstream) {
   const size_t input_candidates = candidates.size();
   std::vector<PatternGroup> groups = GroupByPattern(grid, std::move(candidates));
 
@@ -190,8 +189,8 @@ std::vector<Aggregation> PruneIndividual(const numfmt::AxisView& grid,
   const bool obs_on = obs::Registry::enabled();
   if (obs_on) {
     obs::Count("prune.runs");
-    obs::Count("prune.input.groups", groups.size());
-    obs::Count("prune.input.candidates", input_candidates);
+    obs::Count("prune.input.groups", groups.size() + upstream.groups);
+    obs::Count("prune.input.candidates", input_candidates + upstream.candidates);
   }
 
   // 1. Coverage threshold on the sufficiency score (rule R1).
@@ -202,9 +201,10 @@ std::vector<Aggregation> PruneIndividual(const numfmt::AxisView& grid,
       return group.sufficiency < coverage;
     });
     if (obs_on) {
-      obs::Count("prune.r1_coverage.groups", groups_before - groups.size());
+      obs::Count("prune.r1_coverage.groups",
+                 groups_before - groups.size() + upstream.groups);
       obs::Count("prune.r1_coverage.candidates",
-                 members_before - MemberCount(groups));
+                 members_before - MemberCount(groups) + upstream.candidates);
     }
   }
 

@@ -37,6 +37,16 @@ struct PatternGroup {
   double ratio_fraction = 0.0;
 };
 
+/// The sufficiency score of a pattern group (Sec. 3.1): its member count
+/// over the number of numeric cells in its aggregate's column, or 0 when
+/// that column holds none. The one expression rule R1 compares against the
+/// coverage threshold.
+inline double Sufficiency(size_t members, int numeric_in_column) {
+  return numeric_in_column > 0
+             ? static_cast<double>(members) / numeric_in_column
+             : 0.0;
+}
+
 /// Groups `candidates` by pattern and computes sufficiency scores against
 /// `grid` (the denominator counts numeric cells in the aggregate's column),
 /// along with the precomputed predicate state described on PatternGroup.
@@ -94,6 +104,15 @@ struct PruningRules {
   bool mutual_inclusion = true;
 };
 
+/// Pattern groups a caller removed before pruning because rule R1 would
+/// drop them (ExtendThroughLedger's coverage drop). PruneIndividual counts
+/// them in its input and R1 accounting exactly as if they had been passed
+/// in, so the prune.* counters do not depend on where R1 was applied.
+struct PrunedUpstream {
+  size_t groups = 0;
+  size_t candidates = 0;
+};
+
 /// Stage-1 pruning (Alg. 1, line 11) applied to same-function candidates:
 ///  1. discard groups whose sufficiency score is below `coverage`;
 ///  2. among groups sharing an aggregate, keep only the best-scoring ones;
@@ -104,11 +123,13 @@ struct PruningRules {
 /// Returns the aggregations of the accepted groups, moved out of
 /// `candidates` (taken by value: a caller that is done with its candidates
 /// moves them in, and none is copied on the way). `rules` disables
-/// individual steps for ablation.
+/// individual steps for ablation; `upstream` adds groups R1 already
+/// dropped to the counters.
 std::vector<Aggregation> PruneIndividual(const numfmt::AxisView& grid,
                                          std::vector<Aggregation> candidates,
                                          double coverage,
-                                         const PruningRules& rules = {});
+                                         const PruningRules& rules = {},
+                                         const PrunedUpstream& upstream = {});
 
 }  // namespace aggrecol::core
 

@@ -4,8 +4,10 @@
 #include <deque>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <set>
 
+#include "core/extension.h"
 #include "core/individual_detector.h"
 #include "core/pruning.h"
 #include "obs/metrics.h"
@@ -139,6 +141,11 @@ std::vector<Aggregation> DetectSupplementalRowwise(
     return it->second.size() > 1 || it->second.count(candidate.range) == 0;
   };
 
+  // One pattern ledger per function, shared by every derived file of every
+  // round: a pattern met again under another column mask is not validated
+  // again (see PatternLedger for why the mask cannot change the result).
+  std::array<std::optional<PatternLedger>, kAllFunctions.size()> ledgers;
+
   const bool obs_on = obs::Registry::enabled();
   if (obs_on) obs::Count("stage3.runs");
 
@@ -167,6 +174,9 @@ std::vector<Aggregation> DetectSupplementalRowwise(
     // their per-row scans; no static thread split needed.
     individual.pool = config.pool;
     individual.cancel = config.cancel;
+    std::optional<PatternLedger>& ledger = ledgers[IndexOf(function)];
+    if (!ledger) ledger.emplace(grid, individual.error_level);
+    individual.ledger = &*ledger;
 
     // Each derived file is independent; run them concurrently when a pool is
     // present, then filter in configuration order so results stay

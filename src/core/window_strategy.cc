@@ -4,10 +4,10 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <utility>
 
 #include "core/line_index.h"
+#include "core/pair_screen.h"
 
 namespace aggrecol::core {
 namespace {
@@ -74,39 +74,54 @@ void SuppressCanonicalMirrors(std::vector<Aggregation>& found, size_t first) {
   found.erase(found.begin() + static_cast<std::ptrdiff_t>(write), found.end());
 }
 
-constexpr double kEps = std::numeric_limits<double>::epsilon();
-constexpr double kInflate = 1.0 + 32.0 * kEps;
-// The batch screen's inflation: one extra kInflate's worth of headroom over
-// the per-pair screens whose decisions it has to dominate.
-constexpr double kInflateBatch = 1.0 + 64.0 * kEps;
+constexpr double kEps = PairScreenTerms::kEps;
+constexpr double kUnderflowSlack = PairScreenTerms::kUnderflowSlack;
+// The window and row bounds' inflation: one extra kInflate's worth of
+// headroom over the per-pair screens (pair_screen.h) whose decisions they
+// have to dominate.
+constexpr double kInflateBound = 1.0 + 64.0 * kEps;
 
-// O(1) certain-miss rejection of one *whole* window [lo, hi) in compact
-// space against the aggregate `observed`: returns true only when every
-// ordered pair (b, c) drawn from the window would be rejected by the
-// per-pair screens in TestWindows, in which case the O(width^2) pair loop is
-// skipped outright. Built from the window's min/max value bounds
-// (LineIndex::SpanMin/SpanMax — the prefix machinery's range queries):
-// each screen's left-hand side g is *linear* in (b, c), so its exact range
-// over the window box [wmin, wmax]^2 is spanned by the four corner
-// evaluations; `margin` widens that interval by more than the evaluation
-// rounding of any individual pair, and the per-pair right-hand side is
-// replaced by its window-wide maximum. Batch rejection therefore implies
-// per-pair rejection for every pair — it can never suppress an emission, so
-// candidate order (and the mirrored-difference keep-first suppression that
-// depends on it) is untouched.
+// The shared tail of the window and row bounds: true when 0 lies farther
+// than `rhs` from the interval [g_lo - margin, g_hi + margin]. A NaN term
+// fails every comparison and returns false. The callers' margins sum the
+// magnitudes of the terms they bound, so a term that overflows (an obs*c
+// product, say) makes the margin infinite and the interval all-covering or
+// NaN: an overflow, too, leaves the pairs to the per-pair screens.
+bool CertainMiss(double g_lo, double g_hi, double margin, double rhs) {
+  const double widened_lo = g_lo - margin;
+  const double widened_hi = g_hi + margin;
+  double distance = 0.0;
+  if (widened_lo > 0.0) {
+    distance = widened_lo;
+  } else if (widened_hi < 0.0) {
+    distance = -widened_hi;
+  } else {
+    return false;  // 0 is reachable: some pair may pass its screen
+  }
+  return distance > rhs;
+}
+
+// O(1) certain-miss rejection of one *whole* window against the aggregate
+// `observed`, from the window's value range [wmin, wmax]: returns true only
+// when every ordered pair (b, c) drawn from the window would be rejected by
+// the per-pair screens (pair_screen.h), in which case the window's rows are
+// skipped outright. Each screen's left-hand side g is *linear* in (b, c), so
+// its exact range over the window box [wmin, wmax]^2 is spanned by the four
+// corner evaluations; `margin` widens that interval by more than the
+// evaluation rounding of any individual pair (relative, plus an absolute
+// kUnderflowSlack for terms below the normal range), and the per-pair
+// right-hand side is replaced by its window-wide maximum. Batch rejection therefore
+// implies per-pair rejection for every pair — it can never suppress an
+// emission. (The screens' underflow term is bounded the same way, at the
+// largest divisor magnitude.)
 //
 // Division and relative change refuse to batch-reject when the window's
-// value range spans zero (wmin <= 0 <= wmax): a ratio bound derived from
-// min/max is invalid once the divisor range crosses 0 — the achievable
-// quotients are unbounded on both sides, and zero or ±denormal divisors sit
-// exactly on that boundary — so those windows fall through to the per-pair
-// screens (which skip b==0 / c==0 exactly like the reference) and their
-// exact replays.
-bool RejectWholeWindow(const LineIndex& index, int lo, int hi,
-                       AggregationFunction function, double observed,
-                       double threshold) {
-  const double wmin = index.SpanMin(lo, hi);
-  const double wmax = index.SpanMax(lo, hi);
+// value range spans zero (wmin <= 0 <= wmax): zero and ±denormal divisors
+// sit exactly on that boundary, so those windows go on to the row gate
+// below and the per-pair screens (which skip b == 0 / c == 0 exactly like
+// the reference).
+bool RejectWholeWindow(double wmin, double wmax, AggregationFunction function,
+                       double observed, double threshold) {
   const double span = wmax - wmin;
   const double abs_max = std::max(std::fabs(wmin), std::fabs(wmax));
   const double abs_obs = std::fabs(observed);
@@ -119,8 +134,8 @@ bool RejectWholeWindow(const LineIndex& index, int lo, int hi,
       // Pair term g = (b - c) - obs; b - c ranges over [-span, span].
       g_lo = -span - observed;
       g_hi = span - observed;
-      margin = kEps * 4.0 * (span + abs_obs);
-      rhs = (threshold + kEps * span) * kInflateBatch;
+      margin = kEps * 4.0 * (span + abs_obs) + kUnderflowSlack;
+      rhs = (threshold + kEps * span) * kInflateBound;
       break;
     }
     case AggregationFunction::kDivision: {
@@ -133,8 +148,10 @@ bool RejectWholeWindow(const LineIndex& index, int lo, int hi,
                       std::min(wmax - c1, wmax - c2));
       g_hi = std::max(std::max(wmin - c1, wmin - c2),
                       std::max(wmax - c1, wmax - c2));
-      margin = kEps * 4.0 * (1.0 + abs_obs) * abs_max;
-      rhs = (threshold * abs_max + kEps * abs_obs * abs_max) * kInflateBatch;
+      margin = kEps * 4.0 * (1.0 + abs_obs) * abs_max + kUnderflowSlack;
+      rhs = (threshold * abs_max + kEps * abs_obs * abs_max +
+             kUnderflowSlack * (1.0 + abs_max)) *
+            kInflateBound;
       break;
     }
     case AggregationFunction::kRelativeChange: {
@@ -147,48 +164,107 @@ bool RejectWholeWindow(const LineIndex& index, int lo, int hi,
                       std::min(wmax - b1, wmax - b2));
       g_hi = std::max(std::max(wmin - b1, wmin - b2),
                       std::max(wmax - b1, wmax - b2));
-      margin = kEps * 4.0 * (span + (1.0 + abs_obs) * abs_max);
-      rhs = (threshold * abs_max + kEps * (span + abs_obs * abs_max)) *
-            kInflateBatch;
+      margin =
+          kEps * 4.0 * (span + (1.0 + abs_obs) * abs_max) + kUnderflowSlack;
+      rhs = (threshold * abs_max + kEps * (span + abs_obs * abs_max) +
+             kUnderflowSlack * (1.0 + abs_max)) *
+            kInflateBound;
       break;
     }
     default:
       return false;  // commutative functions never reach the window scan
   }
-  // Distance from 0 to the widened interval [g_lo - margin, g_hi + margin].
-  // NaN/inf corners (overflowing obs*c products) fail both comparisons and
-  // fall through to the per-pair path — conservative by construction.
-  const double widened_lo = g_lo - margin;
-  const double widened_hi = g_hi + margin;
-  double distance = 0.0;
-  if (widened_lo > 0.0) {
-    distance = widened_lo;
-  } else if (widened_hi < 0.0) {
-    distance = -widened_hi;
-  } else {
-    return false;  // 0 is achievable: some pair may survive its screen
-  }
-  return distance > rhs;
+  return CertainMiss(g_lo, g_hi, margin, rhs);
 }
 
-// Shared pair loop: tests every ordered pair of each side's window against
-// the aggregate at compact position `pos` of `index`.
+// O(1) certain-miss gate of one window row: true only when no pair (b, c)
+// with c drawn from the window — whose values lie in [wmin, wmax] — can pass
+// its per-pair screen, so the row's O(width) pair work is skipped.
 //
-// Each side's window is first screened *as a whole* (RejectWholeWindow
-// above); a surviving window's pairs are then screened division-free: the
-// reference test
-//   ErrorLevel(obs, ApplyPairwise(f, b, c)) <= level + slack
-// is multiplied through by the pairwise function's denominator, turning it
-// into one absolute comparison per pair (no division, no optional, no call).
-// The eps terms and kInflate make the screen strictly conservative — it can
-// only certify *misses* — so every survivor replays the exact
-// ApplyPairwise + ErrorLevel decision and the kernel stays bit-identical to
-// the naive scan. (When obs == 0 the reference error is absolute; then
-// target = obs * denom = 0 and threshold = level + slack, so the same
-// formulas cover both cases without a branch.)
+// With b fixed, each screen's left-hand side g is linear in c, so its exact
+// range over [wmin, wmax] is spanned by the two endpoint evaluations, and
+// every operand of the per-pair right-hand side is largest at an endpoint.
+// Rounded arithmetic is monotone in each operand, so the rounded per-pair
+// values lie between the rounded endpoint values as well. On top of that,
+// `margin` widens the interval by more than the evaluation rounding of any
+// one pair (relative, plus kUnderflowSlack below the normal range), which
+// covers a build that fuses a product into a subtraction. The per-pair
+// right-hand side is replaced by its maximum over the window, inflated once
+// more. The gate therefore only ever proves misses: it can
+// never suppress an emission, so candidate order (and the mirrored
+// difference keep-first suppression that depends on it) is untouched.
+// Including b's own value in [wmin, wmax] only widens the range.
+//
+// The multiplied-through forms are linear in c whatever the signs, so the
+// gate also decides windows whose values straddle zero; a zero divisor is a
+// pair the per-pair screens skip, which the bound covers as well.
+bool RowCertainMiss(AggregationFunction function, double b, double wmin,
+                    double wmax, double observed, double threshold) {
+  const double abs_obs = std::fabs(observed);
+  double g_lo = 0.0;
+  double g_hi = 0.0;
+  double margin = 0.0;
+  double rhs = 0.0;
+  switch (function) {
+    case AggregationFunction::kDifference: {
+      // g = (b - c) - obs; the screen's |diff| is at most `reach`.
+      const double near = b - wmax;
+      const double far = b - wmin;
+      const double reach = std::max(std::fabs(near), std::fabs(far));
+      g_lo = near - observed;
+      g_hi = far - observed;
+      margin = kEps * 4.0 * (reach + abs_obs) + kUnderflowSlack;
+      rhs = (threshold + kEps * reach) * kInflateBound;
+      break;
+    }
+    case AggregationFunction::kDivision: {
+      // g = b - obs*c; |c| <= abs_c and |obs*c| <= abs_obs * abs_c.
+      const double abs_c = std::max(std::fabs(wmin), std::fabs(wmax));
+      const double at_min = b - observed * wmin;
+      const double at_max = b - observed * wmax;
+      g_lo = std::min(at_min, at_max);
+      g_hi = std::max(at_min, at_max);
+      margin =
+          kEps * 4.0 * (std::fabs(b) + abs_obs * abs_c) + kUnderflowSlack;
+      rhs = (threshold * abs_c + kEps * abs_obs * abs_c +
+             kUnderflowSlack * (1.0 + abs_c)) *
+            kInflateBound;
+      break;
+    }
+    case AggregationFunction::kRelativeChange: {
+      if (b == 0.0) return true;  // the reference skips every pair of this row
+      // g = (c - b) - obs*b; the screen's |diff| is at most `reach`.
+      const double target = observed * b;
+      const double low = wmin - b;
+      const double high = wmax - b;
+      const double reach = std::max(std::fabs(low), std::fabs(high));
+      g_lo = low - target;
+      g_hi = high - target;
+      margin = kEps * 4.0 * (reach + std::fabs(target)) + kUnderflowSlack;
+      rhs = (threshold * std::fabs(b) + kEps * (reach + std::fabs(target)) +
+             kUnderflowSlack * (1.0 + std::fabs(b))) *
+            kInflateBound;
+      break;
+    }
+    default:
+      return false;  // commutative functions never reach the window scan
+  }
+  return CertainMiss(g_lo, g_hi, margin, rhs);
+}
+
+// Tests every ordered pair of each side's window against the aggregate at
+// compact position `pos` of `index`, in (bi, ci) order: bi and ci count
+// positions away from the aggregate. A window RejectWholeWindow clears is
+// skipped whole; otherwise each window row (one bi) is gated by
+// RowCertainMiss; a surviving row runs `Screen` over all of its c
+// without a branch and reduces it to one any-hit flag; only a row with a
+// hit replays the per-pair screen and the exact ApplyPairwise + ErrorLevel
+// decision, pair by pair, exactly as the unscreened loop would.
+template <typename Screen>
 void TestWindows(const LineIndex& index, int row, int pos,
                  AggregationFunction function, double error_level,
-                 int window_size, std::vector<Aggregation>& found) {
+                 int window_size, std::vector<Aggregation>& found,
+                 WindowScanCounts& counts) {
   const double observed = index.value(pos);
   const double threshold = (error_level + kErrorSlack) *
                            (observed != 0.0 ? std::fabs(observed) : 1.0);
@@ -196,58 +272,39 @@ void TestWindows(const LineIndex& index, int row, int pos,
     // The window in compact space: the nearest usable positions on one side.
     const int available = step > 0 ? index.size() - 1 - pos : pos;
     const int width = std::min(window_size, available);
-    if (width >= 2) {
-      const int window_lo = step > 0 ? pos + 1 : pos - width;
-      const int window_hi = step > 0 ? pos + 1 + width : pos;
-      if (RejectWholeWindow(index, window_lo, window_hi, function, observed,
-                            threshold)) {
-        continue;  // every pair in this window is a certain miss
-      }
+    if (width < 2) continue;  // no ordered pair of distinct cells
+    const int window_lo = step > 0 ? pos + 1 : pos - width;
+    const int window_hi = step > 0 ? pos + 1 + width : pos;
+    double wmin = index.value(window_lo);
+    double wmax = wmin;
+    for (int p = window_lo + 1; p < window_hi; ++p) {
+      wmin = std::min(wmin, index.value(p));
+      wmax = std::max(wmax, index.value(p));
+    }
+    if (RejectWholeWindow(wmin, wmax, function, observed, threshold)) {
+      ++counts.windows_rejected;
+      continue;  // every pair in this window is a certain miss
     }
     for (int bi = 1; bi <= width; ++bi) {
+      const int b_pos = pos + step * bi;
+      const double b = index.value(b_pos);
+      if (RowCertainMiss(function, b, wmin, wmax, observed, threshold)) {
+        ++counts.rows_gated;
+        continue;
+      }
+      ++counts.rows_screened;
+      bool any_hit = false;
+      for (int p = window_lo; p < window_hi; ++p) {
+        any_hit |= (p != b_pos) &
+                   Screen::MayHit(b, index.value(p), observed, threshold);
+      }
+      if (!any_hit) continue;
+      ++counts.rows_replayed;
       for (int ci = 1; ci <= width; ++ci) {
         if (bi == ci) continue;
-        const int b_pos = pos + step * bi;
         const int c_pos = pos + step * ci;
-        const double b = index.value(b_pos);
         const double c = index.value(c_pos);
-        switch (function) {
-          case AggregationFunction::kDifference: {
-            // |(b - c) - obs| > (level + slack) * |obs|  => miss.
-            const double diff = b - c;
-            if (std::fabs(diff - observed) >
-                (threshold + kEps * std::fabs(diff)) * kInflate) {
-              continue;
-            }
-            break;
-          }
-          case AggregationFunction::kDivision: {
-            // b / c vs obs, scaled by |c|: |b - obs*c| > thr*|c|  => miss.
-            if (c == 0.0) continue;  // reference skips the pair entirely
-            const double target = observed * c;
-            if (std::fabs(b - target) >
-                (threshold * std::fabs(c) + kEps * std::fabs(target)) *
-                    kInflate) {
-              continue;
-            }
-            break;
-          }
-          case AggregationFunction::kRelativeChange: {
-            // (c - b) / b vs obs, scaled by |b|: |(c-b) - obs*b| > thr*|b|.
-            if (b == 0.0) continue;  // reference skips the pair entirely
-            const double diff = c - b;
-            const double target = observed * b;
-            if (std::fabs(diff - target) >
-                (threshold * std::fabs(b) +
-                 kEps * (std::fabs(diff) + std::fabs(target))) *
-                    kInflate) {
-              continue;
-            }
-            break;
-          }
-          default:
-            break;  // commutative functions never reach the window scan
-        }
+        if (!Screen::MayHit(b, c, observed, threshold)) continue;
         const auto calculated = ApplyPairwise(function, b, c);
         if (!calculated.has_value()) continue;
         const double error = ErrorLevel(observed, *calculated);
@@ -266,6 +323,17 @@ void TestWindows(const LineIndex& index, int row, int pos,
   }
 }
 
+template <typename Screen>
+void ScanLine(const LineIndex& index, int row, AggregationFunction function,
+              double error_level, int window_size,
+              std::vector<Aggregation>& out, WindowScanCounts& counts) {
+  for (int pos = 0; pos < index.size(); ++pos) {
+    if (!index.is_numeric(pos)) continue;
+    TestWindows<Screen>(index, row, pos, function, error_level, window_size,
+                        out, counts);
+  }
+}
+
 }  // namespace
 
 std::vector<Aggregation> DetectWindowPairwise(
@@ -273,8 +341,9 @@ std::vector<Aggregation> DetectWindowPairwise(
     int row, AggregationFunction function, double error_level, int window_size) {
   std::vector<Aggregation> found;
   LineIndex index;
+  WindowScanCounts counts;
   DetectWindowPairwise(view, active_columns, row, function, error_level,
-                       window_size, index, found);
+                       window_size, index, found, counts);
   return found;
 }
 
@@ -282,13 +351,25 @@ void DetectWindowPairwise(const numfmt::AxisView& view,
                           const std::vector<bool>& active_columns, int row,
                           AggregationFunction function, double error_level,
                           int window_size, LineIndex& index,
-                          std::vector<Aggregation>& out) {
+                          std::vector<Aggregation>& out,
+                          WindowScanCounts& counts) {
   const size_t first = out.size();
   index.Build(view, active_columns, row);
-  index.BuildSpanBounds();  // the batch screen's O(1) window min/max
-  for (int pos = 0; pos < index.size(); ++pos) {
-    if (!index.is_numeric(pos)) continue;
-    TestWindows(index, row, pos, function, error_level, window_size, out);
+  switch (function) {
+    case AggregationFunction::kDifference:
+      ScanLine<DifferenceScreen>(index, row, function, error_level, window_size,
+                                 out, counts);
+      break;
+    case AggregationFunction::kDivision:
+      ScanLine<DivisionScreen>(index, row, function, error_level, window_size,
+                               out, counts);
+      break;
+    case AggregationFunction::kRelativeChange:
+      ScanLine<RelativeChangeScreen>(index, row, function, error_level,
+                                     window_size, out, counts);
+      break;
+    default:
+      break;  // commutative functions never reach the window scan
   }
   SuppressCanonicalMirrors(out, first);
 }

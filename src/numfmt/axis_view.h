@@ -17,7 +17,7 @@ namespace aggrecol::numfmt {
 /// transposed view, so "line" means a row in the former and a column in the
 /// latter while the accessor API stays exactly NumericGrid's.
 ///
-/// Views are trivially copyable (two pointers plus strides) and non-owning:
+/// Views are trivially copyable (four pointers plus strides) and non-owning:
 /// the underlying NumericGrid must outlive every view of it. The strided
 /// column view reads are non-contiguous, but the stage-1 kernels touch the
 /// raw buffers once per line (the LineIndex compaction) and then work on
@@ -60,22 +60,16 @@ class AxisView {
   }
 
   /// Number of explicit numeric cells in view column `col` (the sufficiency
-  /// denominator of Sec. 3.1, in view coordinates).
+  /// denominator of Sec. 3.1, in view coordinates). O(1): the grid's own
+  /// count for the matching axis.
   int NumericCountInColumn(int col) const {
-    int count = 0;
-    for (int i = 0; i < rows_; ++i) {
-      if (IsNumeric(i, col)) ++count;
-    }
-    return count;
+    return column_counts_[static_cast<size_t>(col)];
   }
 
-  /// Number of explicit numeric cells in view row `row`.
+  /// Number of explicit numeric cells in view row `row`. O(1), like the
+  /// above.
   int NumericCountInRow(int row) const {
-    int count = 0;
-    for (int j = 0; j < columns_; ++j) {
-      if (IsNumeric(row, j)) ++count;
-    }
-    return count;
+    return row_counts_[static_cast<size_t>(row)];
   }
 
   /// The elected number format of the underlying file.
@@ -85,6 +79,10 @@ class AxisView {
   AxisView(const NumericGrid& grid, bool transposed)
       : kinds_(grid.kinds_.data()),
         values_(grid.values_.data()),
+        row_counts_(transposed ? grid.numeric_per_column_.data()
+                               : grid.numeric_per_row_.data()),
+        column_counts_(transposed ? grid.numeric_per_row_.data()
+                                  : grid.numeric_per_column_.data()),
         rows_(transposed ? grid.columns() : grid.rows()),
         columns_(transposed ? grid.rows() : grid.columns()),
         line_stride_(transposed ? 1 : static_cast<size_t>(grid.columns())),
@@ -99,6 +97,8 @@ class AxisView {
 
   const CellKind* kinds_;
   const double* values_;
+  const int* row_counts_;     // numeric cells per view row
+  const int* column_counts_;  // numeric cells per view column
   int rows_;
   int columns_;
   size_t line_stride_;

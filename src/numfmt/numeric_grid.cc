@@ -72,23 +72,20 @@ NumericGrid NumericGrid::FromGrid(const csv::Grid& grid, NumberFormat format,
       out.values_[out.Index(i, j)] = cell.value;
     }
   }
+  out.CountNumericCells();
   return out;
 }
 
-int NumericGrid::NumericCountInColumn(int col) const {
-  int count = 0;
+void NumericGrid::CountNumericCells() {
+  numeric_per_row_.assign(static_cast<size_t>(rows_), 0);
+  numeric_per_column_.assign(static_cast<size_t>(columns_), 0);
   for (int i = 0; i < rows_; ++i) {
-    if (IsNumeric(i, col)) ++count;
+    for (int j = 0; j < columns_; ++j) {
+      if (!IsNumeric(i, j)) continue;
+      ++numeric_per_row_[static_cast<size_t>(i)];
+      ++numeric_per_column_[static_cast<size_t>(j)];
+    }
   }
-  return count;
-}
-
-int NumericGrid::NumericCountInRow(int row) const {
-  int count = 0;
-  for (int j = 0; j < columns_; ++j) {
-    if (IsNumeric(row, j)) ++count;
-  }
-  return count;
 }
 
 NumericGrid NumericGrid::Transposed() const {
@@ -99,6 +96,7 @@ NumericGrid NumericGrid::Transposed() const {
       out.values_[out.Index(j, i)] = values_[Index(i, j)];
     }
   }
+  out.CountNumericCells();
   return out;
 }
 
@@ -110,6 +108,7 @@ NumericGrid NumericGrid::WithColumns(const std::vector<int>& keep) const {
       out.values_[out.Index(i, static_cast<int>(k))] = values_[Index(i, keep[k])];
     }
   }
+  out.CountNumericCells();
   return out;
 }
 

@@ -63,11 +63,16 @@ class NumericGrid {
            k == CellKind::kZeroMarker;
   }
 
-  /// Number of explicit numeric cells in column `col`.
-  int NumericCountInColumn(int col) const;
+  /// Number of explicit numeric cells in column `col`. O(1): the counts of
+  /// both axes are taken once when the grid is built.
+  int NumericCountInColumn(int col) const {
+    return numeric_per_column_[static_cast<size_t>(col)];
+  }
 
-  /// Number of explicit numeric cells in row `row`.
-  int NumericCountInRow(int row) const;
+  /// Number of explicit numeric cells in row `row`. O(1), like the above.
+  int NumericCountInRow(int row) const {
+    return numeric_per_row_[static_cast<size_t>(row)];
+  }
 
   /// The elected (or supplied) number format of the underlying file.
   NumberFormat format() const { return format_; }
@@ -99,11 +104,17 @@ class NumericGrid {
     return static_cast<size_t>(row) * columns_ + col;
   }
 
+  // Fills the per-row and per-column numeric counts; every factory calls it
+  // once its cells are final.
+  void CountNumericCells();
+
   int rows_ = 0;
   int columns_ = 0;
   NumberFormat format_ = NumberFormat::kCommaDot;
   std::vector<CellKind> kinds_;
   std::vector<double> values_;
+  std::vector<int> numeric_per_row_;
+  std::vector<int> numeric_per_column_;
 };
 
 /// Attempts to interpret a single cell. Exposed for tests and for feature

@@ -261,5 +261,50 @@ TEST(AggreCol, FunnelCountersPinnedOnSmallCorpus) {
   EXPECT_EQ(Digest(results), 0x64c1a7efcde973bfULL) << std::hex << Digest(results);
 }
 
+TEST(AggreCol, WorkCountersPinnedOnSmallCorpus) {
+  // Host-independent work gates: how many window rows the stage-1/3 window
+  // scans gated, screened and replayed, and how often the pattern ledger
+  // validated, reused and doomed a pattern, on the funnel test's corpus.
+  // The counts depend on the input alone, so they are pinned exactly, and
+  // must come out the same on a 4-thread pool as sequentially. A change
+  // that moves one has changed how much work the scan or the ledger does.
+  // (ledger.groups.doomed equals the funnel test's prune.r1_coverage.groups:
+  // on this corpus every group R1 drops leaves before extension.)
+  if (!obs::CompiledIn()) GTEST_SKIP() << "built with AGGRECOL_OBS=OFF";
+  const auto corpus = datagen::GenerateSmallCorpus(20, 8);
+  const std::map<std::string, uint64_t> expected = {
+      {"ledger.candidates.doomed", 39054},
+      {"ledger.groups.doomed", 34183},
+      {"ledger.patterns.reused", 22776},
+      {"ledger.patterns.validated", 11779},
+      {"window.rows_gated", 892737},
+      {"window.rows_replayed", 23826},
+      {"window.rows_screened", 957217},
+      {"window.windows_rejected", 137030},
+  };
+  for (int threads : {1, 4}) {
+    std::map<std::string, uint64_t> actual;
+    {
+      obs::ScopedMetrics scoped;
+      AggreColConfig config;
+      config.threads = threads;
+      const AggreCol detector(config);
+      for (const auto& file : corpus) detector.Detect(file.grid);
+      for (const auto& [name, value] :
+           obs::Registry::Instance().Snapshot().counters) {
+        if (name.starts_with("window.") || name.starts_with("ledger.")) {
+          actual[name] = value;
+        }
+      }
+    }
+    std::string listing;
+    for (const auto& [name, value] : actual) {
+      listing += "      {\"" + name + "\", " + std::to_string(value) + "},\n";
+    }
+    EXPECT_EQ(actual, expected) << "threads=" << threads << ", actual totals:\n"
+                                << listing;
+  }
+}
+
 }  // namespace
 }  // namespace aggrecol::core

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "datagen/file_generator.h"
 #include "gtest/gtest.h"
 #include "numfmt/axis_view.h"
+#include "obs/metrics.h"
 #include "tests/test_support.h"
 
 namespace aggrecol::core {
@@ -499,51 +501,6 @@ TEST(LineIndex, CompensatedSumHonorsWalkOrder) {
   EXPECT_EQ(index.CompensatedSum(0, 4, true), backward.Total());
 }
 
-TEST(LineIndex, SpanBoundsMatchBruteForce) {
-  std::mt19937 rng(0x5BA7);
-  std::vector<std::string> row;
-  for (int j = 0; j < 37; ++j) {
-    row.push_back(std::to_string(static_cast<int>(rng() % 2000) - 1000) + "." +
-                  std::to_string(rng() % 100));
-  }
-  const auto grid = numfmt::NumericGrid::FromGrid(
-      csv::Grid(std::vector<std::vector<std::string>>{row}),
-      numfmt::NumberFormat::kCommaDot);
-  const std::vector<bool> active(row.size(), true);
-  LineIndex index;
-  index.Build(grid, active, 0);
-  ASSERT_EQ(index.size(), 37);
-  index.BuildSpanBounds();
-  for (int begin = 0; begin < index.size(); ++begin) {
-    for (int end = begin + 1; end <= index.size(); ++end) {
-      double lo = index.value(begin);
-      double hi = index.value(begin);
-      for (int pos = begin + 1; pos < end; ++pos) {
-        lo = std::min(lo, index.value(pos));
-        hi = std::max(hi, index.value(pos));
-      }
-      EXPECT_EQ(index.SpanMin(begin, end), lo) << begin << ", " << end;
-      EXPECT_EQ(index.SpanMax(begin, end), hi) << begin << ", " << end;
-    }
-  }
-}
-
-TEST(LineIndex, SpanBoundsSurviveBufferReuseAcrossLines) {
-  // BuildSpanBounds reuses its table buffers; a shorter rebuilt line must not
-  // read stale entries from a previous, longer line.
-  const auto wide = MakeNumeric({{"9", "8", "7", "6", "5", "4", "3", "2", "1"}});
-  const auto narrow = MakeNumeric({{"2", "1", "3"}});
-  LineIndex index;
-  index.Build(wide, std::vector<bool>(9, true), 0);
-  index.BuildSpanBounds();
-  EXPECT_EQ(index.SpanMin(0, 9), 1.0);
-  index.Build(narrow, std::vector<bool>(3, true), 0);
-  index.BuildSpanBounds();
-  EXPECT_EQ(index.SpanMin(0, 3), 1.0);
-  EXPECT_EQ(index.SpanMax(0, 3), 3.0);
-  EXPECT_EQ(index.SpanMax(0, 2), 2.0);
-}
-
 TEST(LineIndex, PrefixBoundsMatchBruteForceAcrossReusedBuffers) {
   // Long, short, then long again: the table buffers are reused, and the
   // stride changes with the line length.
@@ -712,6 +669,41 @@ TEST(WindowBoundary, SignFlipMidWindowMatchesNaive) {
   ExpectKernelMatchesNaive(grid, "sign-flip");
 }
 
+TEST(WindowBoundary, DenormalQuotientMatchesNaive) {
+  // -2 denorm / 3 and -3 denorm / -2 round to a quotient of one or two
+  // denorms that equals its aggregate exactly (error 0). The quotient's
+  // rounding below the normal range is absolute, half a denorm, which no
+  // relative eps term covers: the pair screens once rejected these hits.
+  const std::string d1 = DecimalLiteral(4.9406564584124654e-324);
+  const std::string d2 = DecimalLiteral(9.8813129168249309e-324);
+  const std::string d3 = DecimalLiteral(1.4821969375237396e-323);
+  const auto grid = MakeNumeric({
+      {"", "n/a", "-" + d2, "n/a", "3", "6", "n/a", "-" + d1, "7"},
+      {"-5", d2, "-" + d3, "-2", "-3", d2, d3, "-7", "0.25"},
+      {"1", "2", "-" + d2, "5", "3", "8", "9", "-" + d1, "4"},
+  });
+  ExpectKernelMatchesNaive(grid, "denormal-quotient");
+  const std::vector<bool> active(9, true);
+  EXPECT_EQ(DetectWindowPairwise(grid, active, 0, AggregationFunction::kDivision,
+                                 0.0, 10)
+                .size(),
+            1u);
+  EXPECT_EQ(DetectWindowPairwise(grid, active, 1, AggregationFunction::kDivision,
+                                 0.0, 10)
+                .size(),
+            2u);
+  // Extension replays the same screens: the row-0 pattern 7 <- {2, 4}
+  // holds on row 2 as well and must extend there, as in the naive walk.
+  const std::vector<Aggregation> seeds = {aggrecol::testing::Agg(
+      0, 7, {2, 4}, AggregationFunction::kDivision)};
+  const auto extended = ExtendAggregations(grid, active, seeds, 0.0);
+  ExpectIdenticalScan(extended, ExtendAggregationsNaive(grid, active, seeds, 0.0),
+                      "denormal-quotient extension");
+  EXPECT_TRUE(aggrecol::testing::Contains(
+      extended,
+      aggrecol::testing::Agg(2, 7, {2, 4}, AggregationFunction::kDivision)));
+}
+
 TEST(WindowBoundary, MirroredDifferenceKeepsFirstOnly) {
   // 5 = 8 - 3 and 3 = 8 - 5 are mirrored differences over the same cells;
   // the scan suppresses the mirror and keeps the first-emitted candidate.
@@ -732,6 +724,104 @@ TEST(WindowBoundary, MirroredDifferenceKeepsFirstOnly) {
   ASSERT_EQ(kernel.size(), 1u);
   EXPECT_EQ(kernel[0].aggregate, 0);
   EXPECT_EQ(kernel[0].range, (std::vector<int>{1, 2}));
+}
+
+// ---------------------------------------------------------------------------
+// Window row gate: the gated kernel against the naive scan on seeded lines
+// built to sit on the gate's edges — magnitudes near 2^53, signed zeros,
+// denormals, overflowing products, zero divisors and zero aggregates,
+// every window width from 0 to window_size + 2, and random inactive or
+// unusable cells. Candidates must match bit for bit, error included.
+// ---------------------------------------------------------------------------
+
+// One cell of a gate battery line, drawn from `rng`.
+std::string GateBatteryCell(std::mt19937& rng) {
+  const double two53 = 9007199254740992.0;  // 2^53
+  const double sign = rng() % 2 == 0 ? 1.0 : -1.0;
+  switch (rng() % 10) {
+    case 0:
+    case 1:
+    case 2: {
+      // A small set of values, so hits (and replays) are frequent.
+      static const double kSmall[] = {0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 1.5, 0.25};
+      return DecimalLiteral(sign * kSmall[rng() % 8]);
+    }
+    case 3:  // near 2^53, where integer spacing reaches 1 and then 2
+      return DecimalLiteral(sign * (two53 + static_cast<double>(rng() % 9) - 4.0));
+    case 4:
+      return rng() % 2 == 0 ? "0" : "-0";
+    case 5:  // denormals, the smallest among them
+      return DecimalLiteral(sign * 4.9406564584124654e-324 *
+                            static_cast<double>(1 + rng() % 3));
+    case 6:  // obs*c overflows for a pair of these
+      return DecimalLiteral(sign * 1e200 * static_cast<double>(1 + rng() % 4));
+    case 7:
+      return "n/a";  // text: not range-usable
+    case 8:
+      return "";  // empty: usable as zero, never an aggregate
+    default:  // mixed-sign fractions
+      return DecimalLiteral(sign * static_cast<double>(rng() % 2000) / 64.0);
+  }
+}
+
+TEST(WindowGate, SeededEdgeLinesMatchNaive) {
+  std::mt19937 rng(0x6A7E);
+  WindowScanCounts counts;
+  for (int window_size : {1, 2, 3, 10}) {
+    // Lines of 1 .. window_size + 3 usable-or-not cells give every window
+    // width from 0 to window_size + 2 on both sides of some aggregate.
+    for (int length = 1; length <= window_size + 3; ++length) {
+      csv::Grid raw(8, length);
+      for (int i = 0; i < 8; ++i) {
+        for (int j = 0; j < length; ++j) raw.set(i, j, GateBatteryCell(rng));
+      }
+      const auto grid =
+          numfmt::NumericGrid::FromGrid(raw, numfmt::NumberFormat::kCommaDot);
+      std::vector<bool> active(static_cast<size_t>(length), true);
+      for (int j = 0; j < length; ++j) active[j] = rng() % 6 != 0;
+      for (const std::vector<bool>& mask :
+           {std::vector<bool>(static_cast<size_t>(length), true), active}) {
+        for (double level : Fig7Levels()) {
+          for (AggregationFunction function :
+               {AggregationFunction::kDifference, AggregationFunction::kDivision,
+                AggregationFunction::kRelativeChange}) {
+            for (int line = 0; line < grid.rows(); ++line) {
+              LineIndex index;
+              std::vector<Aggregation> kernel;
+              DetectWindowPairwise(grid, mask, line, function, level,
+                                   window_size, index, kernel, counts);
+              ExpectIdenticalScan(
+                  kernel,
+                  DetectWindowPairwiseNaive(grid, mask, line, function, level,
+                                            window_size),
+                  "gate w=" + std::to_string(window_size) +
+                      " len=" + std::to_string(length) +
+                      " fn=" + ToString(function) +
+                      " level=" + std::to_string(level) +
+                      " line=" + std::to_string(line));
+            }
+          }
+        }
+      }
+    }
+  }
+  // The battery reaches every path: whole windows rejected, rows gated,
+  // rows screened clean, and rows replayed pair by pair.
+  EXPECT_GT(counts.windows_rejected, 0u);
+  EXPECT_GT(counts.rows_gated, 0u);
+  EXPECT_GT(counts.rows_screened, counts.rows_replayed);
+  EXPECT_GT(counts.rows_replayed, 0u);
+}
+
+TEST(WindowGate, ZeroAggregateAndZeroOperandsMatchNaive) {
+  // obs == 0 makes the error absolute; b == 0 and c == 0 are the pairs
+  // relative change and division skip. Every window straddles zero.
+  const auto grid = MakeNumeric({
+      {"0", "0", "-0", "3", "-3", "0", "1", "-1", "0"},
+      {"0", "2", "2", "0", "-0", "5", "5", "0", "-2"},
+      {"1", "0", "1", "0", "2", "0", "-0", "2", "0"},
+  });
+  ExpectKernelMatchesNaive(grid, "zero-aggregate");
 }
 
 // ---------------------------------------------------------------------------
@@ -859,6 +949,101 @@ TEST(ExtensionScreen, MatchesNaiveOnGeneratedCorpus) {
             file.name + " extension axis=" +
                 (view.transposed() ? "col" : "row") +
                 " level=" + std::to_string(level));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pattern ledger: one ledger shared by extensions under different column
+// masks, and the R1 drop before extension, against the naive walk and the
+// prune it stands in for.
+// ---------------------------------------------------------------------------
+
+TEST(PatternLedger, SharedAcrossMasksMatchesNaiveExtension) {
+  // Seeds from naive scans under a mask with one column removed per pass,
+  // extended through one ledger per (view, function, level): a pattern
+  // recorded under one mask serves every later mask. Each extension must
+  // equal the naive walk under its own mask, bit for bit.
+  const auto corpus = datagen::GenerateSmallCorpus(30, 0x1ED6);
+  size_t reused = 0;
+  for (const auto& file : corpus) {
+    const auto grid = numfmt::NumericGrid::FromGrid(file.grid, file.format);
+    for (const auto& view :
+         {numfmt::AxisView::Rows(grid), numfmt::AxisView::Columns(grid)}) {
+      for (AggregationFunction function :
+           {AggregationFunction::kSum, AggregationFunction::kDivision}) {
+        const double level = 0.01;
+        PatternLedger ledger(view, level);
+        for (int removed = -1; removed < std::min(view.columns(), 4); ++removed) {
+          std::vector<bool> mask(static_cast<size_t>(view.columns()), true);
+          if (removed >= 0) mask[static_cast<size_t>(removed)] = false;
+          std::vector<Aggregation> seeds;
+          for (int line = removed & 1 ? 1 : 0; line < view.rows(); line += 2) {
+            const auto found =
+                TraitsOf(function).commutative
+                    ? DetectAdjacentCommutativeNaive(view, mask, line, function,
+                                                     level)
+                    : DetectWindowPairwiseNaive(view, mask, line, function,
+                                                level, 10);
+            seeds.insert(seeds.end(), found.begin(), found.end());
+          }
+          obs::ScopedMetrics scoped;
+          ExpectIdenticalScan(
+              ExtendThroughLedger(ledger, mask, seeds, std::nullopt).candidates,
+              ExtendAggregationsNaive(view, mask, seeds, level),
+              file.name + " ledger removed=" + std::to_string(removed));
+          reused += obs::Registry::Instance().Snapshot().counter(
+              "ledger.patterns.reused");
+        }
+      }
+    }
+  }
+  if (obs::CompiledIn()) {
+    EXPECT_GT(reused, 0u);  // the sharing is exercised
+  }
+}
+
+TEST(PatternLedger, CoverageDropMatchesRuleR1) {
+  // Dropping R1-doomed groups before extension must leave the prune's
+  // output unchanged and drop exactly the groups and members R1 drops from
+  // the fully extended candidates.
+  const auto corpus = datagen::GenerateSmallCorpus(30, 0xD00D);
+  const double coverage = 0.7;
+  for (const auto& file : corpus) {
+    const auto grid = numfmt::NumericGrid::FromGrid(file.grid, file.format);
+    for (const auto& view :
+         {numfmt::AxisView::Rows(grid), numfmt::AxisView::Columns(grid)}) {
+      const std::vector<bool> mask(static_cast<size_t>(view.columns()), true);
+      for (AggregationFunction function : kAllFunctions) {
+        const double level = 0.01;
+        std::vector<Aggregation> seeds;
+        for (int line = 0; line < view.rows(); ++line) {
+          const auto found =
+              TraitsOf(function).commutative
+                  ? DetectAdjacentCommutativeNaive(view, mask, line, function,
+                                                   level)
+                  : DetectWindowPairwiseNaive(view, mask, line, function,
+                                              level, 10);
+          seeds.insert(seeds.end(), found.begin(), found.end());
+        }
+        const auto extended = ExtendAggregationsNaive(view, mask, seeds, level);
+        size_t r1_groups = 0;
+        size_t r1_members = 0;
+        for (const auto& group : GroupByPattern(view, extended)) {
+          if (group.sufficiency < coverage) {
+            ++r1_groups;
+            r1_members += group.members.size();
+          }
+        }
+        PatternLedger ledger(view, level);
+        Extension extension = ExtendThroughLedger(ledger, mask, seeds, coverage);
+        const std::string context = file.name + " fn=" + ToString(function);
+        EXPECT_EQ(extension.dropped_groups, r1_groups) << context;
+        EXPECT_EQ(extension.dropped_members, r1_members) << context;
+        ExpectIdenticalScan(
+            PruneIndividual(view, std::move(extension.candidates), coverage),
+            PruneIndividual(view, extended, coverage), context);
       }
     }
   }

@@ -1,7 +1,11 @@
 #include "core/supplemental_detector.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/aggrecol.h"
@@ -11,7 +15,9 @@
 #include "datagen/file_generator.h"
 #include "gtest/gtest.h"
 #include "numfmt/axis_view.h"
+#include "obs/metrics.h"
 #include "tests/test_support.h"
+#include "util/thread_pool.h"
 
 namespace aggrecol::core {
 namespace {
@@ -270,6 +276,91 @@ TEST(Supplemental, SmallCorpusOutputPinned) {
   EXPECT_EQ(detected, 1224u);
   EXPECT_EQ(returned.size(), 35u);
   EXPECT_EQ(Digest(returned), 0xe94148a5a6a77ceeULL) << std::hex << Digest(returned);
+}
+
+// Four (total, part, part) sum groups side by side, so stage 3 removes up to
+// four cumulative aggregate columns and a round builds 2^4 - 1 derived
+// files, plus noise columns that give the window functions candidates.
+numfmt::NumericGrid FourGroupGrid() {
+  std::mt19937 rng(0x4C3D);
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<std::string> row;
+    for (int group = 0; group < 4; ++group) {
+      const int a = 1 + static_cast<int>(rng() % 50);
+      const int b = 1 + static_cast<int>(rng() % 50);
+      row.push_back(std::to_string(a + b));
+      row.push_back(std::to_string(a));
+      row.push_back(std::to_string(b));
+    }
+    for (int noise = 0; noise < 4; ++noise) {
+      row.push_back(std::to_string(1 + static_cast<int>(rng() % 8)));
+    }
+    rows.push_back(std::move(row));
+  }
+  return numfmt::NumericGrid::FromGrid(csv::Grid(rows),
+                                       numfmt::NumberFormat::kCommaDot);
+}
+
+// Stage 3 of the default configuration on `view`, with its derived files on
+// `pool` (nullptr: sequential): the returned aggregations and every obs
+// counter the stage-3 call moved.
+std::pair<std::vector<Aggregation>, std::map<std::string, uint64_t>>
+RunStage3OnPool(const numfmt::AxisView& view,
+                const std::vector<Aggregation>& detected,
+                util::ThreadPool* pool) {
+  const AggreColConfig defaults;
+  SupplementalConfig config;
+  config.functions = defaults.functions;
+  config.error_levels = defaults.error_levels;
+  config.coverage = defaults.coverage;
+  config.window_size = defaults.window_size;
+  config.max_configurations = defaults.max_configurations;
+  config.pool = pool;
+  obs::ScopedMetrics scoped;
+  auto returned = DetectSupplementalRowwise(view, config, detected);
+  std::map<std::string, uint64_t> counters;
+  for (const auto& [name, value] : obs::Registry::Instance().Snapshot().counters) {
+    if (value != 0) counters[name] = value;
+  }
+  return {std::move(returned), std::move(counters)};
+}
+
+TEST(Supplemental, PooledDerivedRunsMatchSequential) {
+  // Stage 3 runs a round's derived files concurrently on the pool, and
+  // those runs share one pattern ledger per function, reading and filling
+  // it at once (the TSan job runs this test). Results, error bits and every
+  // counter — ledger.* included — must not depend on that.
+  const auto grid = FourGroupGrid();
+  const AggreColConfig defaults;
+  std::vector<Aggregation> individual;
+  for (AggregationFunction function : defaults.functions) {
+    IndividualConfig config;
+    config.error_level = defaults.error_level(function);
+    config.coverage = defaults.coverage;
+    config.window_size = defaults.window_size;
+    const auto found = DetectIndividualRowwise(grid, function, config);
+    individual.insert(individual.end(), found.begin(), found.end());
+  }
+  const auto detected = CollectivePrune(grid, individual);
+
+  const auto [sequential, sequential_counters] =
+      RunStage3OnPool(grid, detected, nullptr);
+  if (obs::CompiledIn()) {
+    // The premise: some round builds at least 8 derived files, so the pool
+    // has several concurrent runs to interleave.
+    ASSERT_GT(sequential_counters.count("stage3.rounds"), 0u);
+    EXPECT_GE(sequential_counters.at("stage3.configurations"),
+              8 * sequential_counters.at("stage3.rounds"));
+    EXPECT_GT(sequential_counters.count("ledger.patterns.reused"), 0u);
+  }
+  util::ThreadPool pool(4);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    const auto [pooled, pooled_counters] = RunStage3OnPool(grid, detected, &pool);
+    ASSERT_EQ(pooled, sequential);
+    EXPECT_EQ(Digest(pooled), Digest(sequential));
+    EXPECT_EQ(pooled_counters, sequential_counters);
+  }
 }
 
 }  // namespace

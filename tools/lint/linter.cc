@@ -791,8 +791,7 @@ const std::vector<HotPathEntry>& HotPaths() {
        {"ScanScalar", "ScanSwar", "ScanSse2", "ScanAvx2", "ScanStructural"}},
       {"src/csv/parser.cc", {"ParseStructural"}},
       {"src/core/line_index.cc",
-       {"Build", "CompensatedSum", "BuildMinMaxTable", "BuildSpanBounds",
-        "BuildPrefixBounds"}},
+       {"Build", "CompensatedSum", "BuildMinMaxTable", "BuildPrefixBounds"}},
       {"src/core/adjacency_strategy.cc",
        {"SearchDirectionIndexed", "BisectSizes", "BlockCertainMiss",
         "ScreenSizes"}},
