@@ -30,6 +30,7 @@
 
 #include "csv/parser.h"
 #include "csv/scanner.h"
+#include "tests/oracle/csv_reference.h"
 #include "util/stopwatch.h"
 
 namespace aggrecol {

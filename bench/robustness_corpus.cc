@@ -15,14 +15,15 @@
 
 #include "datagen/messy_generator.h"
 #include "eval/robustness.h"
+#include "tests/oracle/csv_reference.h"
 
 namespace aggrecol {
 namespace {
 
 eval::RobustnessReport Run(const std::vector<eval::RobustnessCase>& cases,
-                           eval::SnifferKind sniffer) {
+                           csv::SniffResult (*sniff)(std::string_view)) {
   eval::RobustnessOptions options;
-  options.sniffer = sniffer;
+  options.sniff = sniff;
   return eval::ScoreRobustness(cases, options);
 }
 
@@ -90,9 +91,9 @@ int main(int argc, char** argv) {
   const auto cases = aggrecol::datagen::ToRobustnessCases(
       aggrecol::datagen::GenerateMessyCorpus(spec));
   const auto consistency =
-      aggrecol::Run(cases, aggrecol::eval::SnifferKind::kConsistency);
+      aggrecol::Run(cases, &aggrecol::csv::SniffDialect);
   const auto reference =
-      aggrecol::Run(cases, aggrecol::eval::SnifferKind::kReference);
+      aggrecol::Run(cases, &aggrecol::csv::SniffDialectReference);
 
   aggrecol::PrintTable(consistency, reference);
   if (json_path != nullptr) {

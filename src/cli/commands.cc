@@ -35,7 +35,6 @@ usage:
   aggrecol evaluate <file.csv> <truth>      score detections vs an annotation file
   aggrecol sniff <file.csv>                 report dialect and number format
   aggrecol generate [options]               write a synthetic annotated corpus
-  aggrecol benchmark <dir> [options]        evaluate a whole corpus directory
   aggrecol batch <dir> [options]            stream a corpus through the thread pool
   aggrecol help                             show this message
 
@@ -107,12 +106,12 @@ std::optional<csv::Grid> LoadGrid(const std::string& path, std::ostream& err) {
 
 const std::vector<std::string>& CommandNames() {
   static const std::vector<std::string> names = {
-      "detect", "evaluate", "sniff", "generate", "benchmark", "batch", "help"};
+      "detect", "evaluate", "sniff", "generate", "batch", "help"};
   return names;
 }
 
 std::vector<std::string> KnownOptionsFor(const std::string& command) {
-  if (command == "detect" || command == "evaluate" || command == "benchmark") {
+  if (command == "detect" || command == "evaluate") {
     return kDetectionOptions;
   }
   if (command == "generate") return kGenerateOptions;
@@ -346,7 +345,7 @@ int RunGenerate(const ArgParser& args, std::ostream& out, std::ostream& err) {
   }
   if (args.Has("messy")) {
     // The adversarial corpus is written as raw bytes: the files carry their
-    // dialect and encoding quirks on disk, so `aggrecol benchmark` exercises
+    // dialect and encoding quirks on disk, so `aggrecol batch` exercises
     // the same sniff-parse-detect path the robustness battery scores.
     datagen::MessyCorpusSpec spec;
     spec.seed = static_cast<uint64_t>(args.GetInt("seed", 6021));
@@ -387,50 +386,6 @@ int RunGenerate(const ArgParser& args, std::ostream& out, std::ostream& err) {
   }
   out << "wrote " << files.size() << " file pairs (.csv + .annotations) to "
       << *out_dir << "\n";
-  return 0;
-}
-
-int RunBenchmark(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  if (args.positionals().size() != 2) {
-    err << "usage: aggrecol benchmark <corpus-dir> [options]\n";
-    return 2;
-  }
-  if (!RejectUnknown(args, kDetectionOptions, err)) return 2;
-  core::AggreColConfig config;
-  if (!ConfigFromArgs(args, &config, err)) return 2;
-
-  const auto files = eval::LoadCorpusDirectory(args.positionals()[1]);
-  if (!files.has_value()) {
-    err << "cannot load corpus from '" << args.positionals()[1] << "'\n";
-    return 1;
-  }
-  if (files->empty()) {
-    err << "no .csv files in '" << args.positionals()[1] << "'\n";
-    return 1;
-  }
-
-  core::AggreCol detector(config);
-  std::vector<eval::Scores> per_file;
-  per_file.reserve(files->size());
-  for (const auto& file : *files) {
-    const auto result = detector.Detect(file.grid);
-    per_file.push_back(eval::Score(result.aggregations, file.annotations));
-  }
-  const auto total = eval::Accumulate(per_file);
-  const auto histograms = eval::BuildFileLevel(per_file);
-
-  out << "corpus: " << args.positionals()[1] << " (" << files->size()
-      << " files)\n";
-  util::TablePrinter printer;
-  printer.SetHeader({"metric", "value"});
-  printer.AddRow({"precision", util::FormatDouble(total.precision, 3)});
-  printer.AddRow({"recall", util::FormatDouble(total.recall, 3)});
-  printer.AddRow({"F1", util::FormatDouble(total.F1(), 3)});
-  printer.AddRow({"files with precision > 0.95",
-                  util::FormatDouble(100.0 * histograms.precision.Fraction(4), 1) + "%"});
-  printer.AddRow({"files with recall > 0.95",
-                  util::FormatDouble(100.0 * histograms.recall.Fraction(4), 1) + "%"});
-  printer.Print(out);
   return 0;
 }
 
@@ -515,6 +470,21 @@ int RunBatch(const ArgParser& args, std::ostream& out, std::ostream& err) {
   summary.AddRow({"precision", util::FormatDouble(report.scores.precision, 3)});
   summary.AddRow({"recall", util::FormatDouble(report.scores.recall, 3)});
   summary.AddRow({"F1", util::FormatDouble(report.scores.F1(), 3)});
+  std::vector<eval::Scores> per_file_scores;
+  for (const auto& file : report.files) {
+    if (file.outcome == eval::FileOutcome::kOk) {
+      per_file_scores.push_back(file.scores);
+    }
+  }
+  const eval::FileLevelResult file_level =
+      eval::BuildFileLevel(per_file_scores);
+  // Bin 4 is (0.95, 1], the top bin of the file-level figures (Figs. 9-11).
+  const auto top_bin_share = [](const eval::FileLevelHistogram& histogram) {
+    return util::FormatDouble(100.0 * histogram.Fraction(4), 1) + "%";
+  };
+  summary.AddRow({"files with precision > 0.95",
+                  top_bin_share(file_level.precision)});
+  summary.AddRow({"files with recall > 0.95", top_bin_share(file_level.recall)});
   summary.Print(out);
 
   if (want_metrics) {
@@ -551,7 +521,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   if (command == "evaluate") return RunEvaluate(parsed, out, err);
   if (command == "sniff") return RunSniff(parsed, out, err);
   if (command == "generate") return RunGenerate(parsed, out, err);
-  if (command == "benchmark") return RunBenchmark(parsed, out, err);
   if (command == "batch") return RunBatch(parsed, out, err);
   if (command == "help") {
     out << kUsage;

@@ -11,8 +11,8 @@
 namespace aggrecol::cli {
 
 /// Entry point of the `aggrecol` command-line tool: dispatches on the first
-/// positional (detect | evaluate | sniff | generate | benchmark | batch |
-/// help) and returns the process exit code. Output goes to `out`,
+/// positional (detect | evaluate | sniff | generate | batch | help) and
+/// returns the process exit code. Output goes to `out`,
 /// diagnostics to `err`.
 int RunCli(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
 
@@ -40,7 +40,6 @@ int RunDetect(const ArgParser& args, std::ostream& out, std::ostream& err);
 int RunEvaluate(const ArgParser& args, std::ostream& out, std::ostream& err);
 int RunSniff(const ArgParser& args, std::ostream& out, std::ostream& err);
 int RunGenerate(const ArgParser& args, std::ostream& out, std::ostream& err);
-int RunBenchmark(const ArgParser& args, std::ostream& out, std::ostream& err);
 int RunBatch(const ArgParser& args, std::ostream& out, std::ostream& err);
 
 }  // namespace aggrecol::cli

@@ -31,127 +31,6 @@ std::string_view StripBom(std::string_view text) {
   return text;
 }
 
-std::vector<std::vector<std::string>> ParseRows(std::string_view text,
-                                                const Dialect& dialect) {
-  // A leading UTF-8 byte-order mark is file metadata, not cell content;
-  // leaving it attached would corrupt the first header cell (and make a
-  // numeric first cell unparseable).
-  text = StripBom(text);
-
-  // The escape character is only honored when it cannot collide with the
-  // structural characters; a dialect claiming '"' both as quote and escape
-  // still means RFC doubling.
-  const char escape = (dialect.escape != '\0' && dialect.escape != dialect.quote &&
-                       dialect.escape != dialect.delimiter)
-                          ? dialect.escape
-                          : '\0';
-
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string field;
-  State state = State::kFieldStart;
-  bool row_has_content = false;  // a delimiter or any character was seen
-
-  auto end_field = [&]() {
-    row.push_back(std::move(field));
-    field.clear();
-    state = State::kFieldStart;
-  };
-  auto end_row = [&]() {
-    end_field();
-    rows.push_back(std::move(row));
-    row.clear();
-    row_has_content = false;
-  };
-  // Consumes the character after an escape; at end-of-input the dangling
-  // escape character is kept literally to stay lossless.
-  auto consume_escaped = [&](size_t pos) {
-    if (pos + 1 < text.size()) {
-      field.push_back(text[pos + 1]);
-      return true;
-    }
-    field.push_back(escape);
-    return false;
-  };
-
-  for (size_t pos = 0; pos < text.size(); ++pos) {
-    const char c = text[pos];
-    switch (state) {
-      case State::kFieldStart:
-        if (escape != '\0' && c == escape) {
-          if (consume_escaped(pos)) ++pos;
-          state = State::kUnquoted;
-          row_has_content = true;
-        } else if (c == dialect.quote) {
-          state = State::kQuoted;
-          row_has_content = true;
-        } else if (c == dialect.delimiter) {
-          end_field();
-          row_has_content = true;
-        } else if (c == '\r') {
-          // Swallow; the following '\n' (if any) ends the row.
-          if (pos + 1 >= text.size() || text[pos + 1] != '\n') end_row();
-        } else if (c == '\n') {
-          end_row();
-        } else {
-          field.push_back(c);
-          state = State::kUnquoted;
-          row_has_content = true;
-        }
-        break;
-      case State::kUnquoted:
-        if (escape != '\0' && c == escape) {
-          if (consume_escaped(pos)) ++pos;
-        } else if (c == dialect.delimiter) {
-          end_field();
-        } else if (c == '\r') {
-          if (pos + 1 >= text.size() || text[pos + 1] != '\n') end_row();
-        } else if (c == '\n') {
-          end_row();
-        } else {
-          field.push_back(c);
-        }
-        break;
-      case State::kQuoted:
-        if (escape != '\0' && c == escape) {
-          if (consume_escaped(pos)) ++pos;
-        } else if (c == dialect.quote) {
-          state = State::kQuoteInQuote;
-        } else {
-          field.push_back(c);
-        }
-        break;
-      case State::kQuoteInQuote:
-        if (c == dialect.quote) {
-          field.push_back(dialect.quote);  // escaped quote
-          state = State::kQuoted;
-        } else if (c == dialect.delimiter) {
-          end_field();
-        } else if (c == '\r') {
-          state = State::kUnquoted;
-          if (pos + 1 >= text.size() || text[pos + 1] != '\n') end_row();
-        } else if (c == '\n') {
-          end_row();
-        } else {
-          // Malformed input such as `"a"b`; keep the stray character to stay
-          // lossless on messy real-world files.
-          field.push_back(c);
-          state = State::kUnquoted;
-        }
-        break;
-    }
-  }
-
-  // Flush the final row unless the input ended with a row terminator and the
-  // trailing row is completely empty. An unterminated final quoted field
-  // (state still kQuoted at end-of-input) flushes its accumulated content —
-  // truncated uploads lose their closing quote, not their data.
-  if (row_has_content || !field.empty() || !row.empty()) {
-    end_row();
-  }
-  return rows;
-}
-
 namespace {
 
 // Accumulates one field of the structural walk. A field whose decoded
@@ -234,7 +113,7 @@ class FieldBuilder {
   }
 
   // aggrecol-lint: allow(L7): FieldBuilder is a transient borrower — it lives
-  // only inside ParseStructural's frame, where the mapped input outlives it
+  // only inside ParseStructural's frame, where the caller's input outlives it
   std::string_view text_;
   CellArena* arena_;
   size_t begin_ = 0;
@@ -243,15 +122,16 @@ class FieldBuilder {
   std::string scratch_;
 };
 
-// The zero-copy core: locate structural bytes with the scanner, then replay
-// ParseRows' state machine jumping position-to-position. Every branch below
-// mirrors a branch of the reference — same per-state check order (escape,
-// quote, delimiter, CR, LF), no escape check in kQuoteInQuote, quote
-// literal in kUnquoted — so the output is bit-identical by construction;
-// tests/csv_ingest_test.cc pins that differentially.
-Grid ParseStructural(std::string_view raw, const Dialect& dialect,
-                     const ParseHints& hints,
-                     std::shared_ptr<CellArena> arena) {
+}  // namespace
+
+// Locates structural bytes with the scanner, then walks the state machine
+// jumping position-to-position. Per state the checks run in one fixed order
+// (escape, quote, delimiter, CR, LF); kQuoteInQuote has no escape check and
+// the quote char is literal in kUnquoted. tests/oracle/csv_reference.cc keeps
+// the byte-at-a-time original, and tests/csv_ingest_test.cc pins the two
+// row by row.
+ParsedRows ParseStructural(std::string_view raw, const Dialect& dialect,
+                           CellArena& arena, const ParseHints& hints) {
   const std::string_view text = StripBom(raw);
   const char escape = (dialect.escape != '\0' && dialect.escape != dialect.quote &&
                        dialect.escape != dialect.delimiter)
@@ -267,7 +147,7 @@ Grid ParseStructural(std::string_view raw, const Dialect& dialect,
   const ScanTier tier =
       EffectiveScanTier(ActiveScanTier(), text.size(), set.count);
 
-  FieldBuilder field(text, *arena);
+  FieldBuilder field(text, arena);
   std::vector<std::string_view> cells;
   std::vector<uint32_t> row_widths;
   size_t row_start = 0;
@@ -292,10 +172,10 @@ Grid ParseStructural(std::string_view raw, const Dialect& dialect,
     field.PushLiteral(pos);  // dangling escape kept literally (== escape char)
     return false;
   };
-  // A run of non-structural bytes. The reference would take its per-state
-  // `else` branch for each byte: from kFieldStart the first byte starts an
-  // unquoted field, from kQuoteInQuote it is the malformed-quote repair
-  // (keep the stray bytes, drop to kUnquoted).
+  // A run of non-structural bytes. A byte-at-a-time walk would take its
+  // per-state `else` branch for each byte: from kFieldStart the first byte
+  // starts an unquoted field, from kQuoteInQuote it is the malformed-quote
+  // repair (keep the stray bytes, drop to kUnquoted).
   auto literal_run = [&](size_t start, size_t length) {
     if (state == State::kFieldStart) {
       state = State::kUnquoted;
@@ -394,32 +274,37 @@ Grid ParseStructural(std::string_view raw, const Dialect& dialect,
   if (row_has_content || !field.Empty() || cells.size() > row_start) {
     end_row();
   }
-  return Grid::FromParsed(std::move(cells), row_widths, std::move(arena));
+  return ParsedRows{std::move(cells), std::move(row_widths)};
 }
 
-void CountParse(const Grid& grid) {
+namespace {
+
+// Parses `stable`, whose bytes `arena` owns or keeps alive, into a grid
+// backed by that arena.
+Grid ParseIntoArena(std::string_view stable, const Dialect& dialect,
+                    const ParseHints& hints, std::shared_ptr<CellArena> arena) {
+  ParsedRows parsed = ParseStructural(stable, dialect, *arena, hints);
+  Grid grid = Grid::FromParsed(std::move(parsed.cells), parsed.row_widths,
+                               std::move(arena));
   if (obs::Registry::enabled()) {
     obs::Count("csv.parse.grids");
     obs::Count("csv.parse.rows", grid.rows());
     obs::Count("csv.parse.cells",
                static_cast<size_t>(grid.rows()) * grid.columns());
   }
+  return grid;
 }
 
 }  // namespace
 
 Grid ParseGrid(std::string_view text, const Dialect& dialect,
                const ParseHints& hints) {
-  // Instrumented here rather than in ParseRows: the sniffer calls ParseRows
-  // once per candidate dialect, which would inflate the parse counters.
   obs::ScopedSpan span("csv.parse");
   auto arena = std::make_shared<CellArena>();
   // One bulk copy so the grid owns its bytes; the MappedFile overload
   // avoids even this.
   const std::string_view stable = arena->AddBlock(text);
-  Grid grid = ParseStructural(stable, dialect, hints, std::move(arena));
-  CountParse(grid);
-  return grid;
+  return ParseIntoArena(stable, dialect, hints, std::move(arena));
 }
 
 Grid ParseGrid(MappedFile file, const Dialect& dialect,
@@ -429,13 +314,7 @@ Grid ParseGrid(MappedFile file, const Dialect& dialect,
   auto holder = std::make_shared<MappedFile>(std::move(file));
   const std::string_view stable = holder->view();
   arena->KeepAlive(std::move(holder));
-  Grid grid = ParseStructural(stable, dialect, hints, std::move(arena));
-  CountParse(grid);
-  return grid;
-}
-
-Grid ParseGridReference(std::string_view text, const Dialect& dialect) {
-  return Grid(ParseRows(text, dialect));
+  return ParseIntoArena(stable, dialect, hints, std::move(arena));
 }
 
 }  // namespace aggrecol::csv

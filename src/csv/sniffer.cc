@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "csv/parser.h"
@@ -29,39 +28,6 @@ constexpr size_t kSniffPrefixBytes = 64 * 1024;
 constexpr double kTextCellScore = 0.1;
 
 // ---------------------------------------------------------------------------
-// Legacy reference scoring (row-width agreement x mean field count).
-// ---------------------------------------------------------------------------
-
-// Scores a parse: high when rows agree on a common width > 1.
-double ReferenceScoreParse(const std::vector<std::vector<std::string>>& rows) {
-  if (rows.empty()) return 0.0;
-  std::map<size_t, int> width_counts;
-  double total_fields = 0.0;
-  for (const auto& row : rows) {
-    ++width_counts[row.size()];
-    total_fields += static_cast<double>(row.size());
-  }
-  // Most frequent width and its share of rows.
-  size_t mode_width = 1;
-  int mode_count = 0;
-  for (const auto& [width, count] : width_counts) {
-    if (count > mode_count || (count == mode_count && width > mode_width)) {
-      mode_width = width;
-      mode_count = count;
-    }
-  }
-  const double consistency = static_cast<double>(mode_count) / rows.size();
-  const double mean_fields = total_fields / rows.size();
-  if (mode_width <= 1) {
-    // A dialect that never splits anything carries no structural evidence.
-    return 0.0;
-  }
-  // Consistency dominates; mean width breaks ties between dialects that both
-  // split the file consistently (e.g. ',' vs '\t' in a file using only one).
-  return consistency * 1000.0 + mean_fields;
-}
-
-// ---------------------------------------------------------------------------
 // Consistency scoring (row-pattern regularity x type plausibility).
 // ---------------------------------------------------------------------------
 
@@ -69,11 +35,11 @@ double ReferenceScoreParse(const std::vector<std::vector<std::string>>& rows) {
 /// (rows with width w / rows)^2 * (w - 1) / w. A single agreed width w > 1
 /// scores (w-1)/w (close to 1); a 50/50 width split scores ~0.5 * (w-1)/w;
 /// a dialect that never splits anything scores 0.
-double PatternScore(const std::vector<std::vector<std::string>>& rows) {
-  if (rows.empty()) return 0.0;
+double PatternScore(const std::vector<uint32_t>& row_widths) {
+  if (row_widths.empty()) return 0.0;
   std::map<size_t, int> width_counts;
-  for (const auto& row : rows) ++width_counts[row.size()];
-  const double total = static_cast<double>(rows.size());
+  for (const uint32_t width : row_widths) ++width_counts[width];
+  const double total = static_cast<double>(row_widths.size());
   double score = 0.0;
   for (const auto& [width, count] : width_counts) {
     if (width <= 1) continue;
@@ -84,12 +50,12 @@ double PatternScore(const std::vector<std::vector<std::string>>& rows) {
   return score;
 }
 
-/// Most frequent row width (ties prefer the wider width, matching the
-/// reference scorer's mode election); 0 for an empty parse. Threaded into
-/// SniffResult::modal_row_width as the parser's reserve hint.
-int ModalRowWidth(const std::vector<std::vector<std::string>>& rows) {
+/// Most frequent row width (ties prefer the wider width); 0 for an empty
+/// parse. Threaded into SniffResult::modal_row_width as the parser's reserve
+/// hint.
+int ModalRowWidth(const std::vector<uint32_t>& row_widths) {
   std::map<size_t, int> width_counts;
-  for (const auto& row : rows) ++width_counts[row.size()];
+  for (const uint32_t width : row_widths) ++width_counts[width];
   size_t mode_width = 0;
   int mode_count = 0;
   for (const auto& [width, count] : width_counts) {
@@ -190,15 +156,13 @@ bool MatchesSeparators(std::string_view text, const SeparatorPair& format) {
 /// Elects the per-candidate number format by counting, for each separator
 /// pair, the cells that fully match it — the sniffer-local analogue of
 /// numfmt::ElectFormat. Ties keep the earlier (Table 4 order) pair.
-SeparatorPair ElectSeparators(const std::vector<std::vector<std::string>>& rows) {
+SeparatorPair ElectSeparators(const std::vector<std::string_view>& cells) {
   std::array<int, kNumberFormats.size()> counts{};
-  for (const auto& row : rows) {
-    for (const auto& cell : row) {
-      const std::string_view trimmed = Trim(cell);
-      if (trimmed.empty()) continue;
-      for (size_t f = 0; f < kNumberFormats.size(); ++f) {
-        if (MatchesSeparators(trimmed, kNumberFormats[f])) ++counts[f];
-      }
+  for (const std::string_view cell : cells) {
+    const std::string_view trimmed = Trim(cell);
+    if (trimmed.empty()) continue;
+    for (size_t f = 0; f < kNumberFormats.size(); ++f) {
+      if (MatchesSeparators(trimmed, kNumberFormats[f])) ++counts[f];
     }
   }
   size_t best = 0;
@@ -251,24 +215,20 @@ bool LooksLikeDateOrTime(std::string_view text) {
 /// Type plausibility: mean over cells of 1.0 for empty / number (under the
 /// per-candidate elected separator pair) / date / time cells and
 /// kTextCellScore for anything else.
-double TypeScore(const std::vector<std::vector<std::string>>& rows) {
-  size_t cells = 0;
-  for (const auto& row : rows) cells += row.size();
-  if (cells == 0) return 0.0;
-  const SeparatorPair format = ElectSeparators(rows);
+double TypeScore(const std::vector<std::string_view>& cells) {
+  if (cells.empty()) return 0.0;
+  const SeparatorPair format = ElectSeparators(cells);
   double total = 0.0;
-  for (const auto& row : rows) {
-    for (const auto& cell : row) {
-      const std::string_view trimmed = Trim(cell);
-      if (trimmed.empty() || LooksLikeDateOrTime(trimmed) ||
-          MatchesSeparators(trimmed, format)) {
-        total += 1.0;
-      } else {
-        total += kTextCellScore;
-      }
+  for (const std::string_view cell : cells) {
+    const std::string_view trimmed = Trim(cell);
+    if (trimmed.empty() || LooksLikeDateOrTime(trimmed) ||
+        MatchesSeparators(trimmed, format)) {
+      total += 1.0;
+    } else {
+      total += kTextCellScore;
     }
   }
-  return total / static_cast<double>(cells);
+  return total / static_cast<double>(cells.size());
 }
 
 /// The prefix the consistency sniffer scores: at most kSniffPrefixBytes,
@@ -285,6 +245,25 @@ std::string_view SniffPrefix(std::string_view text) {
 
 }  // namespace
 
+const std::vector<Dialect>& SniffCandidates() {
+  // Candidate order encodes the tie-break preference: the RFC 4180 default
+  // first, then delimiters in conventional order, double quote before single
+  // quote, doubling-only before an escape character. Later candidates must
+  // win strictly.
+  static const std::vector<Dialect> kCandidates = [] {
+    std::vector<Dialect> candidates;
+    for (char delimiter : kCandidateDelimiters) {
+      for (char quote : kCandidateQuotes) {
+        for (char escape : kCandidateEscapes) {
+          candidates.push_back(Dialect{delimiter, quote, escape});
+        }
+      }
+    }
+    return candidates;
+  }();
+  return kCandidates;
+}
+
 SniffResult SniffDialect(std::string_view text) {
   obs::ScopedSpan span("csv.sniff");
   const bool obs_on = obs::Registry::enabled();
@@ -295,59 +274,31 @@ SniffResult SniffDialect(std::string_view text) {
   SniffResult best;
   best.dialect = Dialect{',', '"'};
   best.score = -1.0;
-  // Candidate order encodes the tie-break preference: the RFC 4180 default
-  // first, then delimiters in conventional order, double quote before single
-  // quote, doubling-only before an escape character. Later candidates must
-  // win strictly.
-  for (char delimiter : kCandidateDelimiters) {
-    for (char quote : kCandidateQuotes) {
-      for (char escape : kCandidateEscapes) {
-        // Without a backslash in the prefix the escape variant parses
-        // identically to the doubling-only variant; skip the duplicate.
-        if (escape != '\0' && !has_backslash) continue;
-        const Dialect candidate{delimiter, quote, escape};
-        const auto rows = ParseRows(prefix, candidate);
-        const double pattern = PatternScore(rows);
-        // A dialect that never splits anything carries no structural
-        // evidence; its (possibly high) type score must not outrank one
-        // that does split.
-        const double type = pattern > 0.0 ? TypeScore(rows) : 0.0;
-        const double score = pattern * type;
-        if (obs_on) obs::Count("csv.sniff.candidates");
-        if (score > best.score) {
-          best.dialect = candidate;
-          best.score = score;
-          best.pattern_score = pattern;
-          best.type_score = type;
-          best.modal_row_width = ModalRowWidth(rows);
-        }
-      }
+  // Every candidate parses into views of `prefix` plus this one arena, which
+  // holds only the cells an escape or doubled quote rewrote.
+  CellArena arena;
+  for (const Dialect& candidate : SniffCandidates()) {
+    // Without a backslash in the prefix the escape variant parses
+    // identically to the doubling-only variant; skip the duplicate.
+    if (candidate.escape != '\0' && !has_backslash) continue;
+    const ParsedRows parsed = ParseStructural(prefix, candidate, arena);
+    const double pattern = PatternScore(parsed.row_widths);
+    // A dialect that never splits anything carries no structural
+    // evidence; its (possibly high) type score must not outrank one that
+    // does split.
+    const double type = pattern > 0.0 ? TypeScore(parsed.cells) : 0.0;
+    const double score = pattern * type;
+    if (obs_on) obs::Count("csv.sniff.candidates");
+    if (score > best.score) {
+      best.dialect = candidate;
+      best.score = score;
+      best.pattern_score = pattern;
+      best.type_score = type;
+      best.modal_row_width = ModalRowWidth(parsed.row_widths);
     }
   }
   if (best.score <= 0.0) {
     // No delimiter produced structure; fall back to the RFC 4180 default.
-    best = SniffResult{};
-    best.dialect = Dialect{',', '"'};
-  }
-  return best;
-}
-
-SniffResult SniffDialectReference(std::string_view text) {
-  SniffResult best;
-  best.dialect = Dialect{',', '"'};
-  best.score = -1.0;
-  for (char delimiter : kCandidateDelimiters) {
-    for (char quote : kCandidateQuotes) {
-      const Dialect candidate{delimiter, quote};
-      const auto rows = ParseRows(text, candidate);
-      const double score = ReferenceScoreParse(rows);
-      if (score > best.score) {
-        best.dialect = candidate;
-        best.score = score;
-      }
-    }
-  }
-  if (best.score <= 0.0) {
     best = SniffResult{};
     best.dialect = Dialect{',', '"'};
   }

@@ -2,6 +2,7 @@
 #define AGGRECOL_CSV_SNIFFER_H_
 
 #include <string_view>
+#include <vector>
 
 #include "csv/dialect.h"
 
@@ -13,8 +14,8 @@ struct SniffResult {
 
   /// Combined consistency measure of the winning candidate. For the
   /// consistency sniffer this is `pattern_score * type_score` in [0, 1];
-  /// for the reference sniffer it keeps the legacy magnitude (consistency
-  /// share scaled by 1000 plus mean width).
+  /// the retained reference sniffer (tests/oracle/csv_reference.h) keeps
+  /// the legacy magnitude (consistency share scaled by 1000 plus mean width).
   double score = 0.0;
 
   /// Row-pattern regularity of the winning parse: sum over distinct row
@@ -44,16 +45,15 @@ struct SniffResult {
 /// paper assumes dialects "have been correctly detected" by prior work
 /// (multi-hypothesis parsing, Sec. 2.1); this sniffer implements that
 /// substrate. Ties fall back to the conventional comma/double-quote dialect.
+/// Each trial parse is csv::ParseStructural, the state machine ParseGrid
+/// runs, into views of `text` plus one arena per call; trials do not count
+/// as `csv.parse` grids.
 SniffResult SniffDialect(std::string_view text);
 
-/// The pre-consistency heuristic, retained as a differential reference the
-/// same way DetectAdjacentCommutativeNaive anchors the stage-1 kernels: it
-/// scores each (delimiter, quote) candidate by row-width agreement and mean
-/// field count only, with no type model, no escape candidates, and no prefix
-/// bound. tests/robustness_corpus_test.cc and bench/robustness_corpus.cc
-/// score both sniffers on the messy corpus; tests/csv_sniffer_test.cc pins
-/// where the two may differ.
-SniffResult SniffDialectReference(std::string_view text);
+/// Every dialect SniffDialect can elect (delimiter x quote x escape), in
+/// tie-break preference order. Escape-character candidates are scored only
+/// when the sniffed prefix holds a backslash.
+const std::vector<Dialect>& SniffCandidates();
 
 }  // namespace aggrecol::csv
 

@@ -29,7 +29,9 @@ struct AnnotatedFile {
   /// enable the Sec. 6 extension).
   std::vector<core::CompositeAggregation> composites;
 
-  /// Number format the file was serialized with (known for synthetic files).
+  /// Number format the file was serialized with. Set by the generator only:
+  /// files loaded from disk keep the default, and AggreCol::Detect elects
+  /// the format from the grid itself.
   numfmt::NumberFormat format = numfmt::NumberFormat::kCommaDot;
 };
 

@@ -6,7 +6,6 @@
 #include "csv/parser.h"
 #include "csv/sniffer.h"
 #include "csv/writer.h"
-#include "numfmt/number_format.h"
 #include "util/file_io.h"
 
 namespace aggrecol::eval {
@@ -31,7 +30,6 @@ std::optional<AnnotatedFile> LoadAnnotatedFile(const std::string& csv_path,
   const auto sniffed = csv::SniffDialect(mapped->view());
   file.grid = csv::ParseGrid(std::move(*mapped), sniffed.dialect,
                              csv::ParseHints{sniffed.modal_row_width});
-  file.format = numfmt::ElectFormat(file.grid);
 
   if (const auto sidecar = util::ReadFile(annotations_path); sidecar.has_value()) {
     auto annotations = ParseAnnotations(*sidecar);

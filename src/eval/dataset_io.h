@@ -16,8 +16,10 @@ bool SaveAnnotatedFile(const std::string& directory, const std::string& stem,
                        const AnnotatedFile& file);
 
 /// Loads one annotated file from a `.csv` path and its `.annotations`
-/// sidecar. The CSV dialect is sniffed. A missing sidecar yields an empty
-/// ground truth (detection-only use); a malformed sidecar yields nullopt.
+/// sidecar. The CSV dialect is sniffed; the number format is not elected
+/// here (AggreCol::Detect elects it once per file), so `format` keeps its
+/// default. A missing sidecar yields an empty ground truth (detection-only
+/// use); a malformed sidecar yields nullopt.
 std::optional<AnnotatedFile> LoadAnnotatedFile(const std::string& csv_path,
                                                const std::string& annotations_path);
 

@@ -3,7 +3,6 @@
 #include <map>
 
 #include "csv/parser.h"
-#include "csv/sniffer.h"
 
 namespace aggrecol::eval {
 
@@ -36,10 +35,7 @@ RobustnessReport ScoreRobustness(const std::vector<RobustnessCase>& cases,
   const core::AggreCol detector(options.config);
 
   for (const auto& test_case : cases) {
-    const csv::SniffResult sniffed =
-        options.sniffer == SnifferKind::kConsistency
-            ? csv::SniffDialect(test_case.text)
-            : csv::SniffDialectReference(test_case.text);
+    const csv::SniffResult sniffed = options.sniff(test_case.text);
     const csv::Grid grid =
         csv::ParseGrid(test_case.text, sniffed.dialect,
                        csv::ParseHints{sniffed.modal_row_width});

@@ -2,12 +2,14 @@
 #define AGGRECOL_EVAL_ROBUSTNESS_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/aggrecol.h"
 #include "core/aggregation.h"
 #include "csv/dialect.h"
 #include "csv/grid.h"
+#include "csv/sniffer.h"
 #include "eval/metrics.h"
 
 namespace aggrecol::eval {
@@ -25,14 +27,11 @@ struct RobustnessCase {
   std::vector<core::Aggregation> truth;
 };
 
-/// Which dialect sniffer the robustness run elects dialects with.
-enum class SnifferKind {
-  kConsistency,  // csv::SniffDialect — the pattern x type consistency sniffer
-  kReference,    // csv::SniffDialectReference — the retained legacy heuristic
-};
-
 struct RobustnessOptions {
-  SnifferKind sniffer = SnifferKind::kConsistency;
+  /// The dialect sniffer the run elects dialects with. Tests and benches
+  /// swap in the retained reference heuristic (tests/oracle/csv_reference.h)
+  /// to score it against the consistency sniffer.
+  csv::SniffResult (*sniff)(std::string_view text) = &csv::SniffDialect;
 
   /// Detection configuration; split_tables defaults on because the corpus
   /// contains stacked-table files (the clean-corpus default stays off).

@@ -200,10 +200,16 @@ TEST_F(CliEndToEnd, GenerateMessyWritesAdversarialCorpus) {
   EXPECT_TRUE(
       std::filesystem::exists(out_dir + "/messy_multi-table_0.annotations"));
 
-  // The messy pairs run through the sniff-parse-detect benchmark path.
-  std::string bench_out;
-  ASSERT_EQ(Run({"benchmark", out_dir, "--split-tables"}, &bench_out), 0);
-  EXPECT_NE(bench_out.find("6 files"), std::string::npos) << bench_out;
+  // The messy pairs run through the sniff-parse-detect batch path, whose
+  // summary carries the file-level rows.
+  std::string batch_out;
+  ASSERT_EQ(Run({"batch", out_dir, "--threads=1", "--split-tables"}, &batch_out),
+            0);
+  EXPECT_NE(batch_out.find("6 files"), std::string::npos) << batch_out;
+  EXPECT_NE(batch_out.find("files with precision > 0.95"), std::string::npos)
+      << batch_out;
+  EXPECT_NE(batch_out.find("files with recall > 0.95"), std::string::npos)
+      << batch_out;
 }
 
 TEST_F(CliEndToEnd, ErrorsAndExitCodes) {

@@ -20,6 +20,7 @@
 #include "datagen/corpus.h"
 #include "datagen/messy_generator.h"
 #include "gtest/gtest.h"
+#include "tests/oracle/csv_reference.h"
 
 #ifndef AGGRECOL_SOURCE_DIR
 #error "AGGRECOL_SOURCE_DIR must point at the repository root"
@@ -196,9 +197,8 @@ TEST(IngestDifferential, FuzzSeedCorpusUnderEveryDialect) {
   }
 }
 
-TEST(IngestDifferential, HandPickedEdgeCases) {
-  const Dialect rfc{',', '"'};
-  const std::vector<std::string> cases = {
+std::vector<std::string> HandPickedCases() {
+  return {
       "",
       "\n",
       "\r",
@@ -217,7 +217,11 @@ TEST(IngestDifferential, HandPickedEdgeCases) {
       "trailing,newline\n",
       "\"\",\"\"\n",
   };
-  for (const auto& text : cases) {
+}
+
+TEST(IngestDifferential, HandPickedEdgeCases) {
+  const Dialect rfc{',', '"'};
+  for (const auto& text : HandPickedCases()) {
     ExpectDifferentialMatch(text, rfc, "case [" + text + "]");
     ExpectDifferentialMatch(text, Dialect{',', '"', '\\'},
                             "escape case [" + text + "]");
@@ -279,6 +283,63 @@ TEST(IngestDifferential, MessyCorpusRawBytes) {
     for (const Dialect& dialect : AllDialects()) {
       ExpectDifferentialMatch(file.text, dialect, file.annotated.name);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Unpadded differential: the sniffer scores ParseStructural's rows before
+// Grid pads them, so row widths must match the oracle as well as cells. A
+// padded Grid hides a short row that PatternScore would count.
+
+/// `text` with every LF rewritten as `terminator` (CRLF and lone-CR files).
+std::string WithLineEnds(const std::string& text, std::string_view terminator) {
+  std::string out;
+  for (const char c : text) {
+    if (c == '\n') {
+      out.append(terminator);
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+void ExpectUnpaddedMatch(const std::string& text, const std::string& label) {
+  for (const std::string_view terminator : {"\n", "\r\n", "\r"}) {
+    const std::string variant = WithLineEnds(text, terminator);
+    for (const Dialect& dialect : SniffCandidates()) {
+      const std::string mismatch = UnpaddedRowsMismatch(variant, dialect);
+      ASSERT_EQ(mismatch, "")
+          << label << " under " << ToString(dialect) << " escape '"
+          << dialect.escape << "', line end "
+          << ::testing::PrintToString(std::string(terminator));
+    }
+  }
+}
+
+TEST(IngestUnpadded, SniffCandidatesCoverEveryDelimiterQuoteAndEscape) {
+  EXPECT_EQ(SniffCandidates().size(), 16u);
+  EXPECT_EQ(SniffCandidates().front(), (Dialect{',', '"'}));
+}
+
+TEST(IngestUnpadded, RowsMatchTheOracleOnEveryIngestInput) {
+  const auto seeds = LoadFuzzSeeds();
+  for (size_t s = 0; s < seeds.size(); ++s) {
+    ExpectUnpaddedMatch(seeds[s], "seed " + std::to_string(s));
+  }
+  for (const auto& text : HandPickedCases()) {
+    ExpectUnpaddedMatch(text, "case [" + text + "]");
+  }
+  datagen::MessyCorpusSpec spec;
+  spec.files_per_category = 4;
+  for (const auto& file : datagen::GenerateMessyCorpus(spec)) {
+    ExpectUnpaddedMatch(file.text, file.annotated.name);
+  }
+  const auto& files = CleanCorpus();
+  const size_t swept = std::min<size_t>(files.size(), 20);
+  for (size_t f = 0; f < swept; ++f) {
+    ExpectUnpaddedMatch(WriteGrid(files[f].grid, Dialect{';', '"'}),
+                        files[f].name);
   }
 }
 

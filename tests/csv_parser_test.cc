@@ -6,6 +6,7 @@
 #include "csv/grid.h"
 #include "csv/writer.h"
 #include "gtest/gtest.h"
+#include "tests/oracle/csv_reference.h"
 
 namespace aggrecol::csv {
 namespace {

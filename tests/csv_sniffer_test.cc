@@ -1,12 +1,17 @@
 #include "csv/sniffer.h"
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <tuple>
 
 #include "csv/parser.h"
 #include "csv/writer.h"
+#include "datagen/corpus.h"
 #include "datagen/file_generator.h"
+#include "datagen/messy_generator.h"
 #include "gtest/gtest.h"
+#include "tests/oracle/csv_reference.h"
 
 namespace aggrecol::csv {
 namespace {
@@ -204,6 +209,64 @@ INSTANTIATE_TEST_SUITE_P(
     CleanCorpus, SnifferDifferential,
     ::testing::Combine(::testing::Values(11u, 23u, 37u, 51u, 68u, 79u),
                        ::testing::Values(',', ';', '\t', '|')));
+
+// ---------------------------------------------------------------------------
+// Pinned elections: SniffResult digests over the messy corpus and the clean
+// VALIDATION and UNSEEN corpora written as CSV. The scores enter by bit
+// pattern, so any change to the trial parse or the scoring order shows.
+// The digests were recorded before the trial parses moved from the
+// string-copying reference parser onto ParseStructural.
+// ---------------------------------------------------------------------------
+
+class SniffDigest {
+ public:
+  void Add(const SniffResult& result) {
+    Mix(static_cast<unsigned char>(result.dialect.delimiter));
+    Mix(static_cast<unsigned char>(result.dialect.quote));
+    Mix(static_cast<unsigned char>(result.dialect.escape));
+    Mix(std::bit_cast<uint64_t>(result.score));
+    Mix(std::bit_cast<uint64_t>(result.pattern_score));
+    Mix(std::bit_cast<uint64_t>(result.type_score));
+    Mix(static_cast<uint64_t>(result.modal_row_width));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  // FNV-1a over the value's eight bytes, least significant first.
+  void Mix(uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xFF;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+uint64_t CleanCorpusDigest(const datagen::CorpusSpec& spec) {
+  SniffDigest digest;
+  for (const auto& file : datagen::GenerateCorpus(spec)) {
+    digest.Add(SniffDialect(WriteGrid(file.grid, Dialect{',', '"'})));
+  }
+  return digest.value();
+}
+
+TEST(SnifferPinned, MessyCorpusElectionsAreBitIdentical) {
+  SniffDigest digest;
+  for (const auto& file : datagen::GenerateMessyCorpus({})) {
+    digest.Add(SniffDialect(file.text));
+  }
+  EXPECT_EQ(digest.value(), 0xB1E667F1FACE7E02ULL);
+}
+
+TEST(SnifferPinned, ValidationCorpusElectionsAreBitIdentical) {
+  EXPECT_EQ(CleanCorpusDigest(datagen::ValidationCorpus()),
+            0x703A8EA5D75A94CFULL);
+}
+
+TEST(SnifferPinned, UnseenCorpusElectionsAreBitIdentical) {
+  EXPECT_EQ(CleanCorpusDigest(datagen::UnseenCorpus()),
+            0x5875AC54CDC0D41DULL);
+}
 
 }  // namespace
 }  // namespace aggrecol::csv

@@ -102,7 +102,7 @@ TEST_F(DatasetIoTest, EmptyDirectoryLoadsEmptyCorpus) {
   EXPECT_TRUE(corpus->empty());
 }
 
-TEST_F(DatasetIoTest, BenchmarkCommandOverDirectory) {
+TEST_F(DatasetIoTest, BatchCommandOverDirectory) {
   for (int i = 0; i < 2; ++i) {
     const auto file = datagen::GenerateFile(datagen::GeneratorProfile{}, 55 + i,
                                             "g" + std::to_string(i));
@@ -110,10 +110,11 @@ TEST_F(DatasetIoTest, BenchmarkCommandOverDirectory) {
   }
   std::ostringstream out;
   std::ostringstream err;
-  const int code = cli::RunBenchmark(
-      cli::ArgParser::Parse({"benchmark", dir_.string()}), out, err);
+  const int code = cli::RunBatch(
+      cli::ArgParser::Parse({"batch", dir_.string(), "--threads=1", "--quiet"}),
+      out, err);
   EXPECT_EQ(code, 0) << err.str();
-  EXPECT_NE(out.str().find("precision"), std::string::npos);
+  EXPECT_NE(out.str().find("files with precision > 0.95"), std::string::npos);
   EXPECT_NE(out.str().find("2 files"), std::string::npos);
 }
 

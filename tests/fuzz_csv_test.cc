@@ -14,6 +14,8 @@
 //      produce exactly the grid the retained reference state machine
 //      (ParseGridReference) produces — the differential contract of
 //      docs/INGEST.md, here under adversarial bytes instead of clean files.
+//      Under every sniffer candidate dialect, the unpadded rows the sniffer
+//      scores must match the reference's rows, widths included.
 //
 // Everything is seeded; a failure prints the seed file, iteration, and the
 // offending bytes, so any finding replays exactly.
@@ -29,6 +31,7 @@
 #include "csv/sniffer.h"
 #include "csv/writer.h"
 #include "gtest/gtest.h"
+#include "tests/oracle/csv_reference.h"
 
 #ifndef AGGRECOL_SOURCE_DIR
 #error "AGGRECOL_SOURCE_DIR must point at the repository root"
@@ -147,6 +150,13 @@ TEST(FuzzCsv, MutantsNeverCrashAndAlwaysRoundTrip) {
       for (int step = 0; step < kStepsPerMutant; ++step) {
         mutant = Mutate(std::move(mutant), rng);
       }
+      for (const Dialect& dialect : SniffCandidates()) {
+        ASSERT_EQ(UnpaddedRowsMismatch(mutant, dialect), "")
+            << "seed " << s << " mutant " << m << " dialect '"
+            << dialect.delimiter << "' quote '" << dialect.quote
+            << "' escape '" << dialect.escape << "' input: ["
+            << ::testing::PrintToString(mutant) << "]";
+      }
       for (const Dialect& dialect : DialectsUnderTest(mutant)) {
         const Grid grid = ParseGrid(mutant, dialect);
         ASSERT_EQ(grid, ParseGridReference(mutant, dialect))
@@ -172,6 +182,10 @@ TEST(FuzzCsv, PureNoiseNeverCrashes) {
   for (int iteration = 0; iteration < 200; ++iteration) {
     std::string noise(rng.Below(512), '\0');
     for (char& c : noise) c = static_cast<char>(rng.Below(256));
+    for (const Dialect& dialect : SniffCandidates()) {
+      ASSERT_EQ(UnpaddedRowsMismatch(noise, dialect), "")
+          << "unpadded divergence at iteration " << iteration;
+    }
     for (const Dialect& dialect : DialectsUnderTest(noise)) {
       const Grid grid = ParseGrid(noise, dialect);
       ASSERT_EQ(grid, ParseGridReference(noise, dialect))

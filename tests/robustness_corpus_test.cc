@@ -11,6 +11,7 @@
 #include "datagen/messy_generator.h"
 #include "eval/robustness.h"
 #include "gtest/gtest.h"
+#include "tests/oracle/csv_reference.h"
 
 namespace aggrecol {
 namespace {
@@ -113,9 +114,9 @@ TEST(MessyCorpus, AmbiguousFilesAreWidthConsistentUnderComma) {
 // Robustness scoring
 // ---------------------------------------------------------------------------
 
-eval::RobustnessReport Score(eval::SnifferKind sniffer) {
+eval::RobustnessReport Score(csv::SniffResult (*sniff)(std::string_view)) {
   eval::RobustnessOptions options;
-  options.sniffer = sniffer;
+  options.sniff = sniff;
   return eval::ScoreRobustness(datagen::ToRobustnessCases(Corpus()), options);
 }
 
@@ -129,8 +130,8 @@ TEST(Robustness, ConsistencySnifferElectsTruthOnEveryCorpusFile) {
 }
 
 TEST(Robustness, ConsistencyStrictlyBeatsReferenceOnAggregate) {
-  const auto consistency = Score(eval::SnifferKind::kConsistency);
-  const auto reference = Score(eval::SnifferKind::kReference);
+  const auto consistency = Score(&csv::SniffDialect);
+  const auto reference = Score(&csv::SniffDialectReference);
   EXPECT_GT(consistency.AggregateScore(), reference.AggregateScore());
   // And never loses a category: the consistency sniffer must dominate, not
   // trade one failure mode for another.
@@ -143,8 +144,8 @@ TEST(Robustness, ConsistencyStrictlyBeatsReferenceOnAggregate) {
 }
 
 TEST(Robustness, ReferenceSnifferFallsForTheAmbiguousDialectTrap) {
-  const auto reference = Score(eval::SnifferKind::kReference);
-  const auto consistency = Score(eval::SnifferKind::kConsistency);
+  const auto reference = Score(&csv::SniffDialectReference);
+  const auto consistency = Score(&csv::SniffDialect);
   for (size_t i = 0; i < reference.categories.size(); ++i) {
     if (reference.categories[i].category != "ambiguous-dialect") continue;
     EXPECT_LT(reference.categories[i].DialectAccuracy(), 0.5);
@@ -155,7 +156,7 @@ TEST(Robustness, ReferenceSnifferFallsForTheAmbiguousDialectTrap) {
 }
 
 TEST(Robustness, ReportPoolsPerCategoryInFirstAppearanceOrder) {
-  const auto report = Score(eval::SnifferKind::kConsistency);
+  const auto report = Score(&csv::SniffDialect);
   ASSERT_EQ(report.categories.size(), datagen::kAllMessyCategories.size());
   const MessyCorpusSpec spec;
   for (size_t i = 0; i < report.categories.size(); ++i) {
